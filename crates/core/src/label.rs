@@ -147,18 +147,18 @@ impl Label {
         if self.is_empty() {
             0
         } else {
-            LabelTable::global().entry(self).ids.len()
+            LabelTable::global().with_entry(self, |e| e.ids.len())
         }
     }
 
     /// The sorted policy ids of the set.
     pub fn ids(self) -> Arc<[PolicyId]> {
-        LabelTable::global().entry(self).ids
+        LabelTable::global().with_entry(self, |e| e.ids.clone())
     }
 
     /// The canonical policy objects of the set (shared, not cloned).
     pub fn policies(self) -> Arc<Vec<PolicyRef>> {
-        LabelTable::global().entry(self).refs
+        LabelTable::global().with_entry(self, |e| e.refs.clone())
     }
 
     /// Set union — an O(1) memoized table hit after the first computation.
@@ -179,7 +179,8 @@ impl Label {
 
     /// True if the set contains the policy with `id`.
     pub fn contains(self, id: PolicyId) -> bool {
-        !self.is_empty() && self.ids().binary_search(&id).is_ok()
+        !self.is_empty()
+            && LabelTable::global().with_entry(self, |e| e.ids.binary_search(&id).is_ok())
     }
 
     /// True if the set contains a policy structurally equal to `policy`.
@@ -190,15 +191,14 @@ impl Label {
     /// True if any policy in the set has concrete type `T`.
     pub fn has<T: Policy>(self) -> bool {
         !self.is_empty()
-            && self
-                .policies()
-                .iter()
-                .any(|p| p.as_any().downcast_ref::<T>().is_some())
+            && LabelTable::global()
+                .with_entry(self, |e| e.refs.iter().any(|p| p.as_any().is::<T>()))
     }
 
     /// True if any policy reports `name()` equal to `name`.
     pub fn has_named(self, name: &str) -> bool {
-        !self.is_empty() && self.policies().iter().any(|p| p.name() == name)
+        !self.is_empty()
+            && LabelTable::global().with_entry(self, |e| e.refs.iter().any(|p| p.name() == name))
     }
 
     /// The label with `id` added.
@@ -493,6 +493,12 @@ pub struct LabelTableStats {
     /// Rough estimate of heap bytes retained by sets + interner
     /// bookkeeping (not the policy objects themselves).
     pub bytes_retained: usize,
+    /// Entries in the revival memo (wire text → label).
+    pub memo_entries: usize,
+    /// Attaches served from the revival memo or a [`StaticLabel`] slot.
+    pub memo_hits: u64,
+    /// Attaches that had to build and intern the policy.
+    pub memo_misses: u64,
 }
 
 /// An RAII epoch pin: while alive, the sweep treats every label or
@@ -548,6 +554,120 @@ pub struct LabelTable {
     epoch: AtomicU64,
     /// Epoch → number of live pins taken at that epoch.
     pins: Mutex<BTreeMap<u64, usize>>,
+    memo: LabelMemo,
+}
+
+/// Upper bound on revival-memo entries; a full memo starts over, so the
+/// hot policies of the moment are back after one miss each.
+const MEMO_CAPACITY: usize = 4096;
+
+/// The attach memo: policy → interned [`Label`], keyed by the policy's
+/// wire text ([`serialize_policy`](crate::serialize::serialize_policy)
+/// form), plus the [`StaticLabel`] slots of the fixed boundary and
+/// sanitizer policies.
+///
+/// It only saves work: a hit is the label a fresh build-and-intern would
+/// return at that moment, because
+///
+/// * [`sweep`](LabelTable::sweep) drops every entry and slot while it
+///   still holds the table's write lock, so no hit outlives a tombstone;
+/// * replacing a policy class drops that class's entries
+///   ([`forget_memo`](LabelTable::forget_memo)), so the next
+///   revival runs the new deserializer;
+/// * both bump `generation`, and a miss stores its result only if the
+///   generation it started under is still current, so a build that raced
+///   a sweep or a class replacement is not memoized;
+/// * errors are never memoized: a malformed or rejected policy fails the
+///   same way on every read.
+struct LabelMemo {
+    by_text: RwLock<HashMap<Box<str>, Label>>,
+    /// Bumped by every sweep and class replacement.
+    generation: AtomicU64,
+    /// Static slots that have stored a label (cleared by every sweep).
+    slots: Mutex<Vec<&'static AtomicU64>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+impl LabelMemo {
+    fn new() -> LabelMemo {
+        LabelMemo {
+            by_text: RwLock::new(HashMap::new()),
+            generation: AtomicU64::new(0),
+            slots: Mutex::new(Vec::new()),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+        }
+    }
+
+    fn generation(&self) -> u64 {
+        self.generation.load(Ordering::Acquire)
+    }
+
+    fn count(&self, hit: bool) {
+        let counter = if hit { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// A process-wide memo slot for one fixed policy — a boundary source's
+/// `UntrustedData`, a sanitizer marker — so attaching it costs two atomic
+/// loads instead of building, keying and interning the policy.
+///
+/// The slot holds the label interned by [`LabelTable::global`] together
+/// with the memo generation it was built under; [`LabelTable::sweep`]
+/// clears it, and a stale generation reads as a miss, so
+/// [`get`](StaticLabel::get) always equals `Label::of(&make())`.
+///
+/// ```
+/// use resin_core::prelude::*;
+/// use resin_core::StaticLabel;
+/// use std::sync::Arc;
+///
+/// static PARAM: StaticLabel =
+///     StaticLabel::new(|| Arc::new(UntrustedData::from_source("doc_param")));
+/// let fresh = Label::of(&(Arc::new(UntrustedData::from_source("doc_param")) as PolicyRef));
+/// assert_eq!(PARAM.get(), fresh);
+/// assert_eq!(PARAM.get(), fresh, "served from the slot");
+/// ```
+pub struct StaticLabel {
+    make: fn() -> PolicyRef,
+    /// `generation << 32 | label`, with the low 32 bits of the memo
+    /// generation; `0` is empty (no policy interns as `Label::EMPTY`).
+    slot: AtomicU64,
+    registered: std::sync::atomic::AtomicBool,
+}
+
+impl StaticLabel {
+    /// A slot for the policy `make` builds.
+    pub const fn new(make: fn() -> PolicyRef) -> StaticLabel {
+        StaticLabel {
+            make,
+            slot: AtomicU64::new(0),
+            registered: std::sync::atomic::AtomicBool::new(false),
+        }
+    }
+
+    /// The policy's label in the global table.
+    pub fn get(&'static self) -> Label {
+        let table = LabelTable::global();
+        let generation = table.memo.generation() as u32;
+        let packed = self.slot.load(Ordering::Acquire);
+        if packed as u32 != 0 && (packed >> 32) as u32 == generation {
+            table.memo.count(true);
+            return Label(packed as u32);
+        }
+        table.memo.count(false);
+        if !self.registered.swap(true, Ordering::AcqRel) {
+            crate::sync::mlock(&table.memo.slots).push(&self.slot);
+        }
+        let label = table.label_of(&(self.make)());
+        self.slot.store(
+            (u64::from(generation) << 32) | u64::from(label.0),
+            Ordering::Release,
+        );
+        label
+    }
 }
 
 impl LabelTable {
@@ -569,6 +689,7 @@ impl LabelTable {
             inner: RwLock::new(inner),
             epoch: AtomicU64::new(1),
             pins: Mutex::new(BTreeMap::new()),
+            memo: LabelMemo::new(),
         }
     }
 
@@ -637,6 +758,44 @@ impl LabelTable {
         self.intern_ids(vec![id])
     }
 
+    /// The label of the policy whose wire text is `text`, served from the
+    /// attach memo; on a miss `build` makes the policy, which is interned
+    /// and memoized. Errors from `build` pass through and are never
+    /// memoized. A hit always equals a fresh build-and-intern:
+    /// [`sweep`](LabelTable::sweep) empties the memo,
+    /// [`forget_memo`](LabelTable::forget_memo) drops a replaced class's
+    /// entries, and a build that raced either is not stored.
+    pub fn memo_label<E>(
+        &self,
+        text: &str,
+        build: impl FnOnce() -> Result<PolicyRef, E>,
+    ) -> Result<Label, E> {
+        if let Some(&label) = crate::sync::rlock(&self.memo.by_text).get(text) {
+            self.memo.count(true);
+            return Ok(label);
+        }
+        self.memo.count(false);
+        let generation = self.memo.generation();
+        let label = self.label_of(&build()?);
+        let mut by_text = crate::sync::wlock(&self.memo.by_text);
+        if self.memo.generation() == generation {
+            if by_text.len() >= MEMO_CAPACITY {
+                by_text.clear();
+            }
+            by_text.insert(text.into(), label);
+        }
+        Ok(label)
+    }
+
+    /// Drops every memo entry whose wire text satisfies `stale` and
+    /// invalidates builds in flight. Called when a policy class is
+    /// (re-)registered, with a predicate matching that class's entries.
+    pub fn forget_memo(&self, stale: impl Fn(&str) -> bool) {
+        let mut by_text = crate::sync::wlock(&self.memo.by_text);
+        by_text.retain(|text, _| !stale(text));
+        self.memo.generation.fetch_add(1, Ordering::AcqRel);
+    }
+
     /// Interns a set of ids (sorted and deduplicated here) as a label.
     pub fn intern_ids(&self, mut ids: Vec<PolicyId>) -> Label {
         ids.sort_unstable();
@@ -682,7 +841,13 @@ impl LabelTable {
     }
 
     fn entry(&self, label: Label) -> LabelEntry {
-        self.read().sets[label.0 as usize].clone()
+        self.with_entry(label, LabelEntry::clone)
+    }
+
+    /// Runs `f` on `label`'s entry under the read lock: a query costs one
+    /// lock round-trip and no `Arc` traffic.
+    fn with_entry<R>(&self, label: Label, f: impl FnOnce(&LabelEntry) -> R) -> R {
+        f(&self.read().sets[label.0 as usize])
     }
 
     fn union(&self, a: Label, b: Label) -> Label {
@@ -812,6 +977,17 @@ impl LabelTable {
             .interner
             .by_key
             .retain(|_, id| !swept_policies.contains(id));
+        // Empty the attach memo before releasing the write lock, so no
+        // later hit returns a label this pass tombstoned, and move the
+        // generation under the memo lock, so no build that started before
+        // this pass stores its result after the clear.
+        let mut by_text = crate::sync::wlock(&self.memo.by_text);
+        by_text.clear();
+        for slot in crate::sync::mlock(&self.memo.slots).iter() {
+            slot.store(0, Ordering::Release);
+        }
+        self.memo.generation.fetch_add(1, Ordering::AcqRel);
+        drop(by_text);
 
         SweepReport {
             labels_swept: swept_labels.len(),
@@ -836,6 +1012,9 @@ impl LabelTable {
             epoch: self.current_epoch(),
             active_pins: crate::sync::mlock(&self.pins).values().sum(),
             bytes_retained: sets_bytes + interner_bytes + cache_bytes,
+            memo_entries: crate::sync::rlock(&self.memo.by_text).len(),
+            memo_hits: self.memo.hits.load(Ordering::Relaxed),
+            memo_misses: self.memo.misses.load(Ordering::Relaxed),
         }
     }
 

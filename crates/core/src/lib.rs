@@ -76,7 +76,7 @@ pub mod prelude {
     pub use crate::gate::{Gate, GateBuilder, GateKind};
     pub use crate::label::{
         EpochPin, Label, LabelTable, LabelTableStats, PolicyId, PolicyInterner,
-        PolicyInternerStats, SweepReport,
+        PolicyInternerStats, StaticLabel, SweepReport,
     };
     pub use crate::merge::{merge_many, merge_sets};
     pub use crate::policies::{
@@ -87,7 +87,7 @@ pub mod prelude {
     pub use crate::runtime::{GateFactory, GateRegistry, Runtime};
     pub use crate::serialize::{
         deserialize_label, deserialize_policy, deserialize_spans, register_policy_class,
-        serialize_label, serialize_policy, serialize_spans,
+        revive_spans, serialize_label, serialize_policy, serialize_spans,
     };
     pub use crate::taint::{
         policy_add, policy_get, policy_remove, Labeled, Tainted, TaintedStrBuilder, TaintedString,

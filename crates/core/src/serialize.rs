@@ -27,7 +27,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, OnceLock, RwLock};
 
 use crate::error::SerializeError;
-use crate::label::Label;
+use crate::label::{Label, LabelTable};
 use crate::policies::Acl;
 use crate::policies::{
     AuthenticData, CodeApproval, EmptyPolicy, HtmlSanitized, PagePolicy, PasswordPolicy,
@@ -61,7 +61,14 @@ pub fn register_policy_class(
     name: impl Into<String>,
     deserializer: impl Fn(&FieldMap) -> Result<PolicyRef, SerializeError> + Send + Sync + 'static,
 ) {
-    crate::sync::wlock(registry()).insert(name.into(), Arc::new(deserializer));
+    let name = name.into();
+    crate::sync::wlock(registry()).insert(name.clone(), Arc::new(deserializer));
+    // Revivals memoized under the replaced deserializer are stale. Match
+    // on the decoded class name: stored text may escape it non-canonically.
+    LabelTable::global().forget_memo(|text| {
+        text.split_once('{')
+            .is_some_and(|(class, _)| unescape(class).is_ok_and(|c| c == name))
+    });
 }
 
 /// True if `name` is a registered policy class.
@@ -243,14 +250,21 @@ pub fn serialize_label(label: Label) -> String {
 /// same [`PolicyId`](crate::label::PolicyId), so
 /// `deserialize_label(&serialize_label(l)) == l` for any `l`.
 pub fn deserialize_label(s: &str) -> Result<Label, SerializeError> {
+    let mut label = Label::EMPTY;
     if s.is_empty() {
-        return Ok(Label::EMPTY);
+        return Ok(label);
     }
-    let mut policies = Vec::new();
     for part in split_top_level(s, ',') {
-        policies.push(deserialize_policy(part)?);
+        label = label.union(revive_policy(part)?);
     }
-    Ok(Label::from_policies(policies.iter()))
+    Ok(label)
+}
+
+/// The label of one serialized policy, through the table's attach memo:
+/// the registry and the interner run once per distinct policy text, not
+/// once per read.
+fn revive_policy(text: &str) -> Result<Label, SerializeError> {
+    LabelTable::global().memo_label(text, || deserialize_policy(text))
 }
 
 /// Serializes a policy set (comma-joined policies). Empty set → empty string.
@@ -365,8 +379,16 @@ fn parse_range(range: &str) -> Result<(usize, usize), SerializeError> {
 /// per-span-inline-set format (`start..end|set;...`).
 pub fn deserialize_spans(text: &str, spans: &str) -> Result<TaintedString, SerializeError> {
     let mut out = TaintedString::from(text);
+    revive_spans(&mut out, spans)?;
+    Ok(out)
+}
+
+/// [`deserialize_spans`] in place: unions the serialized spans into
+/// `out`'s labels, so a reader that already holds the text (the file
+/// gate's output) revives without copying it again.
+pub fn revive_spans(out: &mut TaintedString, spans: &str) -> Result<(), SerializeError> {
     if spans.is_empty() {
-        return Ok(out);
+        return Ok(());
     }
     if let Some(rest) = spans.strip_prefix('#') {
         // Interned format: `#table#spans`.
@@ -379,12 +401,11 @@ pub fn deserialize_spans(text: &str, spans: &str) -> Result<TaintedString, Seria
         let mut labels: Vec<Label> = Vec::new();
         if !table_src.is_empty() {
             for part in split_top_level(table_src, ',') {
-                let policy = deserialize_policy(part)?;
-                labels.push(Label::of(&policy));
+                labels.push(revive_policy(part)?);
             }
         }
         if spans_src.is_empty() {
-            return Ok(out);
+            return Ok(());
         }
         for part in split_top_level(spans_src, ';') {
             let (range, idxs) = part
@@ -403,7 +424,7 @@ pub fn deserialize_spans(text: &str, spans: &str) -> Result<TaintedString, Seria
             }
             out.add_label_range(start..end, label);
         }
-        return Ok(out);
+        return Ok(());
     }
     // Legacy format: inline policy sets per span.
     for part in split_top_level(spans, ';') {
@@ -414,7 +435,7 @@ pub fn deserialize_spans(text: &str, spans: &str) -> Result<TaintedString, Seria
         let label = deserialize_label(set)?;
         out.add_label_range(start..end, label);
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]

@@ -178,6 +178,40 @@ impl SpanVec {
     }
 }
 
+/// How many distinct labels [`PerLabel`] remembers.
+const PER_LABEL_SLOTS: usize = 8;
+
+/// Runs a label function once per distinct label instead of once per
+/// span: a map repeats a handful of labels across many spans (every safe
+/// run of an escaped string carries its source's label), and each call
+/// may cost a label-table lookup. The last [`PER_LABEL_SLOTS`] results
+/// are kept; `f` must be a pure function of the label.
+struct PerLabel<T, F> {
+    f: F,
+    seen: [Option<(Label, T)>; PER_LABEL_SLOTS],
+    next: usize,
+}
+
+impl<T: Copy, F: Fn(Label) -> T> PerLabel<T, F> {
+    fn new(f: F) -> Self {
+        PerLabel {
+            f,
+            seen: [None; PER_LABEL_SLOTS],
+            next: 0,
+        }
+    }
+
+    fn get(&mut self, label: Label) -> T {
+        if let Some((_, v)) = self.seen.iter().flatten().find(|(l, _)| *l == label) {
+            return *v;
+        }
+        let v = (self.f)(label);
+        self.seen[self.next] = Some((label, v));
+        self.next = (self.next + 1) % PER_LABEL_SLOTS;
+        v
+    }
+}
+
 impl std::ops::Deref for SpanVec {
     type Target = [Span];
     fn deref(&self) -> &[Span] {
@@ -284,7 +318,9 @@ impl SpanMap {
     }
 
     /// Applies `f` to the label of every byte in `range` (uncovered bytes
-    /// see [`Label::EMPTY`]), then renormalizes.
+    /// see [`Label::EMPTY`]), then renormalizes. `f` must be a pure
+    /// function of the label: it runs once per distinct label, not once
+    /// per span.
     ///
     /// Cost: O(log n) to locate the range plus O(k) over the k spans
     /// intersecting it — spans outside the range are never visited, and the
@@ -301,10 +337,11 @@ impl SpanMap {
 
         // Build the replacement segment: transformed covered spans plus
         // `f(EMPTY)` gap fills, locally coalesced.
-        let fill = f(Label::EMPTY);
+        let mut f = PerLabel::new(f);
+        let fill = f.get(Label::EMPTY);
         let lo = self.spans.partition_point(|s| s.end <= range.start);
-        let mut seg: Vec<Span> = Vec::new();
-        let push_seg = |seg: &mut Vec<Span>, start: usize, end: usize, label: Label| {
+        let mut seg = SpanVec::new();
+        let push_seg = |seg: &mut SpanVec, start: usize, end: usize, label: Label| {
             if label.is_empty() || start >= end {
                 return;
             }
@@ -324,7 +361,7 @@ impl SpanMap {
             }
             let s = *s;
             push_seg(&mut seg, cursor, s.start, fill);
-            push_seg(&mut seg, s.start, s.end, f(s.label));
+            push_seg(&mut seg, s.start, s.end, f.get(s.label));
             cursor = s.end;
             hi += 1;
         }
@@ -346,6 +383,12 @@ impl SpanMap {
     /// Unions `label` into every byte in `range`.
     pub fn add_label(&mut self, range: Range<usize>, label: Label) {
         if label.is_empty() {
+            return;
+        }
+        if self.spans.last().is_none_or(|last| last.end <= range.start) {
+            // Past every span (a fresh string, or revival's ordered
+            // spans): every byte is unlabeled, so this is an append.
+            self.push_coalesced(range.start, range.end, label);
             return;
         }
         self.edit(range, |cur| cur.union(label));
@@ -424,6 +467,21 @@ impl SpanMap {
         debug_assert!(self.is_normalized());
     }
 
+    /// Appends the spans of `other` within `range`, clipped to it and
+    /// shifted so `range.start` lands at `offset` (which must not precede
+    /// this map's end) — copying a run of a string without slicing it.
+    pub(crate) fn append_range(&mut self, other: &SpanMap, range: Range<usize>, offset: usize) {
+        let lo = other.spans.partition_point(|s| s.end <= range.start);
+        for s in other.spans[lo..].iter() {
+            if s.start >= range.end {
+                break;
+            }
+            let start = s.start.max(range.start) - range.start + offset;
+            let end = s.end.min(range.end) - range.start + offset;
+            self.push_coalesced(start, end, s.label);
+        }
+    }
+
     /// Appends one span at the end of the map (its start must not precede
     /// the current end), coalescing with the last span when possible.
     ///
@@ -445,7 +503,8 @@ impl SpanMap {
         self.spans.push(Span { start, end, label });
     }
 
-    /// True if every byte in `0..len` has a label satisfying `pred`.
+    /// True if every byte in `0..len` has a label satisfying `pred` (a
+    /// pure function of the label, run once per distinct label).
     /// Vacuously true when `len == 0`.
     pub fn all_bytes<F>(&self, len: usize, pred: F) -> bool
     where
@@ -454,6 +513,8 @@ impl SpanMap {
         if len == 0 {
             return true;
         }
+        let mut memo = PerLabel::new(pred);
+        let mut pred = |l| memo.get(l);
         let mut cursor = 0usize;
         for s in self.spans.iter() {
             if s.start >= len {
@@ -484,15 +545,17 @@ impl SpanMap {
         !self.all_bytes(len, |l| !pred(l))
     }
 
-    /// Byte ranges (clipped to `0..len`) whose label satisfies `pred`.
+    /// Byte ranges (clipped to `0..len`) whose label satisfies `pred` (a
+    /// pure function of the label, run once per distinct label).
     pub fn ranges_where<F>(&self, len: usize, pred: F) -> Vec<Range<usize>>
     where
         F: Fn(Label) -> bool,
     {
+        let mut pred = PerLabel::new(pred);
         let hi = self.spans.partition_point(|s| s.start < len);
         self.spans[..hi]
             .iter()
-            .filter(|s| pred(s.label))
+            .filter(|s| pred.get(s.label))
             .map(|s| s.start..s.end.min(len))
             .collect()
     }
@@ -781,5 +844,128 @@ mod tests {
         assert!(m.at(3).has::<SqlSanitized>());
         assert_eq!(m.at(4).len(), 2);
         assert!(m.at(5).has::<SqlSanitized>());
+    }
+
+    // ---- per-label memo vs naive per-span evaluation ----
+
+    /// A random normalized map over `0..len` built from `labels`, with
+    /// gaps, many spans and repeats of few labels.
+    fn random_map(rng: &mut proptest::TestRng, len: usize, labels: &[Label]) -> SpanMap {
+        let mut m = SpanMap::new();
+        for _ in 0..rng.below(40) {
+            let a = rng.below(len as u64) as usize;
+            let b = (a + 1 + rng.below(6) as usize).min(len);
+            m.add_label(a..b, labels[rng.below(labels.len() as u64) as usize]);
+        }
+        m
+    }
+
+    fn label_pool(n: usize) -> Vec<Label> {
+        let mut pool: Vec<Label> = (0..n)
+            .map(|i| {
+                let p: PolicyRef = Arc::new(UntrustedData::from_source(format!("memo-{i}")));
+                Label::of(&p)
+            })
+            .collect();
+        // Multi-policy labels too, so predicates see mixed sets.
+        let s = Label::of(&sanitized());
+        pool.push(pool[0].union(s));
+        pool.push(s);
+        pool
+    }
+
+    #[test]
+    fn per_label_queries_match_naive_per_span_evaluation() {
+        let mut rng = proptest::TestRng::new(proptest::seed_from_name("per_label_queries"));
+        for case in 0..300 {
+            // Sometimes more distinct labels than memo slots, so slots
+            // are recycled mid-walk.
+            let labels = label_pool(if case % 3 == 0 { 14 } else { 3 });
+            let len = 1 + rng.below(64) as usize;
+            let m = random_map(&mut rng, len, &labels);
+            let target = labels[rng.below(labels.len() as u64) as usize];
+            let pred = |l: Label| l == target || l.has::<SqlSanitized>();
+
+            let naive: Vec<Range<usize>> = m
+                .iter()
+                .filter(|(r, l)| r.start < len && pred(*l))
+                .map(|(r, _)| r.start..r.end.min(len))
+                .collect();
+            assert_eq!(m.ranges_where(len, pred), naive, "case {case}");
+            let every = (0..len).all(|i| pred(m.at(i)));
+            assert_eq!(m.all_bytes(len, pred), every, "case {case}");
+            let any = (0..len).any(|i| pred(m.at(i)));
+            assert_eq!(m.any_byte(len, pred), any, "case {case}");
+
+            // edit: every byte in range maps through `f`, the rest stay.
+            let extra = labels[rng.below(labels.len() as u64) as usize];
+            let f = |l: Label| {
+                if l == target {
+                    Label::EMPTY
+                } else {
+                    l.union(extra)
+                }
+            };
+            let a = rng.below(len as u64) as usize;
+            let b = a + rng.below((len - a) as u64 + 1) as usize;
+            let mut edited = m.clone();
+            edited.edit(a..b, f);
+            assert!(edited.is_normalized(), "case {case}");
+            for i in 0..len {
+                let want = if (a..b).contains(&i) {
+                    f(m.at(i))
+                } else {
+                    m.at(i)
+                };
+                assert_eq!(edited.at(i), want, "case {case} byte {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn per_label_predicate_runs_once_per_distinct_label() {
+        let u = Label::of(&untrusted());
+        let s = Label::of(&sanitized());
+        let mut m = SpanMap::new();
+        for i in 0..50 {
+            m.add_label(i * 2..i * 2 + 1, if i % 2 == 0 { u } else { s });
+        }
+        assert_eq!(m.span_count(), 50);
+        let calls = std::cell::Cell::new(0);
+        let hits = m.ranges_where(100, |l| {
+            calls.set(calls.get() + 1);
+            l == u
+        });
+        assert_eq!(hits.len(), 25);
+        assert_eq!(calls.get(), 2, "one call per distinct label");
+        calls.set(0);
+        m.edit(0..100, |l| {
+            calls.set(calls.get() + 1);
+            l
+        });
+        assert_eq!(calls.get(), 3, "two labels plus the gap fill");
+    }
+
+    #[test]
+    fn append_range_matches_slice_then_append() {
+        let mut rng = proptest::TestRng::new(proptest::seed_from_name("append_range"));
+        let labels = label_pool(4);
+        for case in 0..300 {
+            let len = 1 + rng.below(48) as usize;
+            let src = random_map(&mut rng, len, &labels);
+            let a = rng.below(len as u64 + 1) as usize;
+            let b = a + rng.below((len - a) as u64 + 1) as usize;
+            let mut base = random_map(&mut rng, 8, &labels);
+            base.clamp(8);
+            let offset = 8 + rng.below(3) as usize;
+            let mut want = base.clone();
+            want.append(&src.slice(a..b), offset);
+            let mut got = base;
+            got.append_range(&src, a..b, offset);
+            assert!(got.is_normalized(), "case {case}");
+            let got: Vec<_> = got.iter().collect();
+            let want: Vec<_> = want.iter().collect();
+            assert_eq!(got, want, "case {case}");
+        }
     }
 }

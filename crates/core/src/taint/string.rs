@@ -562,6 +562,17 @@ impl TaintedStrBuilder {
         self.spans.append(&other.spans, offset);
     }
 
+    /// Appends `src[range]` with its spans — [`push_tainted`] of
+    /// `src.slice(range)` without building the slice. `range` must lie on
+    /// UTF-8 boundaries.
+    ///
+    /// [`push_tainted`]: TaintedStrBuilder::push_tainted
+    pub fn push_range(&mut self, src: &TaintedString, range: Range<usize>) {
+        let offset = self.text.len();
+        self.text.push_str(&src.text[range.clone()]);
+        self.spans.append_range(&src.spans, range, offset);
+    }
+
     /// Appends text with `label` applied to every byte of it (no-op label
     /// attach when `text` is empty, per the byte-granularity contract).
     pub fn push_label(&mut self, text: &str, label: Label) {

@@ -14,9 +14,13 @@
 //!   local, which fields' (or the context's) containers it may alias, so
 //!   a deep store like `let w = this.weights; w[0] = 9;` or
 //!   `push(this.log, x)` is charged to the field it reaches;
-//! * **escape points** — `this` leaking into a builtin, a store through a
-//!   value of unknown provenance, or a nested `fn`/`class` definition
-//!   makes the class opaque and disqualifies it outright.
+//! * **escape points** — `this` leaking into a builtin, a container (an
+//!   array literal, a `push`, an index store such as a map or `$context`
+//!   entry), a helper method's arguments or return value, a store through
+//!   a value of unknown provenance, or a nested `fn`/`class` definition
+//!   makes the class opaque and disqualifies it outright. Once `this`
+//!   sits in a container, an alias read back out of it is no longer
+//!   visible to the field-sensitive story.
 //!
 //! The analysis is a forward dataflow over each reachable method's CFG
 //! (reachable from `export_check` through `this.m(...)` and `new`), using
@@ -238,6 +242,13 @@ impl<'a> EffectsAnalysis<'a> {
         }
     }
 
+    /// `this` flowing anywhere but a local: it escapes.
+    fn note_escape(&mut self, value: &Prov) {
+        if value.this_obj && self.collect {
+            self.effects.opaque = true;
+        }
+    }
+
     fn note_read(&mut self, field: &str) {
         if self.collect {
             self.effects.field_reads.insert(field.to_string());
@@ -277,16 +288,15 @@ impl<'a> EffectsAnalysis<'a> {
             Expr::This => Prov::this_object(),
             Expr::Array(items) => {
                 // A fresh array, but elements keep their provenance: an
-                // index chain through the literal reaches them.
+                // index chain through the literal reaches them. `this`
+                // placed in it escapes.
                 let mut p = Prov::fresh();
                 for item in items {
                     let ip = self.eval(item, env);
+                    self.note_escape(&ip);
                     p.union(&ip);
                 }
-                Prov {
-                    this_obj: false,
-                    ..p
-                }
+                p
             }
             Expr::Not(e) | Expr::Neg(e) => {
                 self.eval(e, env);
@@ -309,10 +319,12 @@ impl<'a> EffectsAnalysis<'a> {
                     if let Some(target) = arg_provs.first() {
                         self.note_deep_write(&target.clone());
                     }
-                } else if self.collect && arg_provs.iter().any(|p| p.this_obj) {
-                    // `this` escaping into any other builtin (say
-                    // `str(this)`) could observe arbitrary fields.
-                    self.effects.opaque = true;
+                }
+                // `this` passed to any builtin escapes: `push` stores it
+                // in a container, others (say `str(this)`) could observe
+                // arbitrary fields.
+                for ap in &arg_provs {
+                    self.note_escape(ap);
                 }
                 // Builtin results may alias a container argument (`pop`
                 // returns an element), so the union is the safe answer.
@@ -328,7 +340,10 @@ impl<'a> EffectsAnalysis<'a> {
             Expr::MethodCall { recv, method, args } => {
                 self.eval(recv, env);
                 for a in args {
-                    self.eval(a, env);
+                    // Parameters are analyzed as unknown provenance, so
+                    // `this` passed as an argument escapes.
+                    let ap = self.eval(a, env);
+                    self.note_escape(&ap);
                 }
                 // The receiver may alias `this` (it is the only object in
                 // the mini-evaluator's world besides fresh `new`s of the
@@ -357,17 +372,15 @@ impl<'a> EffectsAnalysis<'a> {
             }
             Expr::Index(recv, idx) => {
                 self.eval(idx, env);
-                let mut p = self.eval(recv, env);
                 // An element of a container keeps the container's
-                // provenance (nested lists); `this[i]` errors at runtime
-                // so the flag is dropped rather than propagated.
-                p.this_obj = false;
-                p
+                // provenance (nested lists), `this` included.
+                self.eval(recv, env)
             }
             Expr::New { class, args } => {
                 let mut p = Prov::fresh();
                 for a in args {
                     let ap = self.eval(a, env);
+                    self.note_escape(&ap);
                     p.union(&ap);
                 }
                 if *class == self.class.name {
@@ -432,7 +445,8 @@ impl<'a> Analysis<'a> for EffectsAnalysis<'a> {
                 env.insert(name.clone(), p);
             }
             StmtKind::Assign(Target::Prop(recv, field), e) => {
-                self.eval(e, env);
+                let value = self.eval(e, env);
+                self.note_escape(&value);
                 let rp = self.eval(recv, env);
                 if rp.this_obj {
                     self.note_write(field);
@@ -448,7 +462,9 @@ impl<'a> Analysis<'a> for EffectsAnalysis<'a> {
                 }
             }
             StmtKind::Assign(Target::Index(recv, idx), e) => {
-                self.eval(e, env);
+                // `this` stored into an array, a map or `$context` escapes.
+                let value = self.eval(e, env);
+                self.note_escape(&value);
                 self.eval(idx, env);
                 let rp = self.eval(recv, env);
                 if !rp.is_fresh() {
@@ -473,12 +489,11 @@ impl<'a> Analysis<'a> for EffectsAnalysis<'a> {
     }
 
     fn transfer_operand(&mut self, operand: &'a Expr, env: &mut Env) {
+        // `throw this` stringifies the object (a thrown value renders
+        // every field); `return this` hands it to a caller the analysis
+        // does not follow. Both escape.
         let p = self.eval(operand, env);
-        if p.this_obj && self.collect {
-            // `throw this` / `return this` stringifies the object (a
-            // thrown value renders every field): treat as an escape.
-            self.effects.opaque = true;
-        }
+        self.note_escape(&p);
     }
 }
 
@@ -641,6 +656,35 @@ mod tests {
             }"#,
         ));
         assert!(!e.cache_eligible());
+        assert!(e.opaque);
+    }
+
+    #[test]
+    fn this_in_a_container_or_helper_escapes() {
+        // Each shape hides `this` somewhere the field-sensitive story
+        // cannot follow; a mutation through the alias would otherwise
+        // survive in the cached object.
+        for body in [
+            "let a = [this]; let t = a[0]; t.n = t.n + 1;",
+            "let m = map(); m[\"me\"] = this; let t = m[\"me\"]; t.n = 1;",
+            "let xs = [0]; push(xs, this);",
+            "let t = this.pass(this); t.n = t.n + 1;",
+            "context[\"me\"] = this;",
+        ] {
+            let src = format!(
+                "class Hide {{ fn pass(o) {{ return o; }} fn export_check(context) {{ {body} }} }}"
+            );
+            let e = class_effects(&class_of(&src));
+            assert!(e.opaque && !e.cache_eligible(), "{body}: {e:?}");
+        }
+        // Returning `this` from a helper escapes even when the caller
+        // only reads.
+        let e = class_effects(&class_of(
+            r#"class Ret {
+                fn me() { return this; }
+                fn export_check(context) { let t = this.me(); }
+            }"#,
+        ));
         assert!(e.opaque);
     }
 

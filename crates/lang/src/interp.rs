@@ -1384,13 +1384,25 @@ fn check_is_cacheable(class: &ClassDecl) -> bool {
 /// class can carry different fields).
 type CachedThis = (BTreeMap<String, PValue>, Rc<std::cell::RefCell<Obj>>);
 
+/// Materialized `this` objects kept per cache-eligible class. Instances
+/// of one class differ only in their fields (a wiki page policy's reader
+/// list), so a handful of snapshots covers a class's working set; past
+/// the bound the oldest is dropped.
+const CACHED_THIS_PER_CLASS: usize = 16;
+
+/// Materialized `this` objects kept per thread across all classes. Every
+/// class definition is a new class (a re-booted app's classes stay alive
+/// in the policy interner), so past this bound every other class's
+/// objects are dropped and the live classes refill theirs.
+const CACHED_THIS_PER_THREAD: usize = 64;
+
 /// One cached policy class: the analysis verdict plus — for cacheable
-/// checks — the materialized `this` object.
+/// checks — the materialized `this` objects, keyed by field snapshot.
 struct CheckPlan {
     /// Liveness + identity token for the cache key (the `Arc`'s address).
     class: std::sync::Weak<ClassDecl>,
     cacheable: bool,
-    cached_this: Option<CachedThis>,
+    cached_this: std::collections::VecDeque<CachedThis>,
 }
 
 thread_local! {
@@ -1400,6 +1412,7 @@ thread_local! {
     /// stamp (equal stamps guarantee equal content). Only read-only
     /// checks consult or fill it, so the cached map is never mutated.
     static CTX_MAP: std::cell::RefCell<Option<(u64, Value)>> = const { std::cell::RefCell::new(None) };
+    static CACHED_THIS_COUNT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
     static CHECK_CACHE_HITS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
     static CHECK_CACHE_MISSES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
     static CHECK_CACHE_ENABLED: std::cell::Cell<bool> = const { std::cell::Cell::new(true) };
@@ -1441,6 +1454,17 @@ fn this_for_check(class: &Arc<ClassDecl>, fields: &BTreeMap<String, PValue>) -> 
     let (cacheable, obj) = CHECK_PLANS.with(|plans| {
         let mut plans = plans.borrow_mut();
         let key = Arc::as_ptr(class) as usize;
+        if CACHED_THIS_COUNT.with(|c| c.get()) >= CACHED_THIS_PER_THREAD {
+            let mut kept = 0;
+            for (k, plan) in plans.iter_mut() {
+                if *k == key {
+                    kept = plan.cached_this.len();
+                } else {
+                    plan.cached_this.clear();
+                }
+            }
+            CACHED_THIS_COUNT.with(|c| c.set(kept));
+        }
         let entry = match plans.get_mut(&key) {
             // The upgrade-and-compare guards against a freed class whose
             // address was reused by a different allocation.
@@ -1449,7 +1473,7 @@ fn this_for_check(class: &Arc<ClassDecl>, fields: &BTreeMap<String, PValue>) -> 
                 let plan = CheckPlan {
                     class: Arc::downgrade(class),
                     cacheable: check_is_cacheable(class),
-                    cached_this: None,
+                    cached_this: std::collections::VecDeque::new(),
                 };
                 plans.entry(key).insert_entry(plan).into_mut()
             }
@@ -1458,18 +1482,19 @@ fn this_for_check(class: &Arc<ClassDecl>, fields: &BTreeMap<String, PValue>) -> 
             CHECK_CACHE_MISSES.with(|c| c.set(c.get() + 1));
             return (false, build());
         }
-        match &entry.cached_this {
-            Some((snap, obj)) if snap == fields => {
-                CHECK_CACHE_HITS.with(|c| c.set(c.get() + 1));
-                (true, obj.clone())
-            }
-            _ => {
-                CHECK_CACHE_MISSES.with(|c| c.set(c.get() + 1));
-                let obj = build();
-                entry.cached_this = Some((fields.clone(), obj.clone()));
-                (true, obj)
-            }
+        if let Some((_, obj)) = entry.cached_this.iter().find(|(snap, _)| snap == fields) {
+            CHECK_CACHE_HITS.with(|c| c.set(c.get() + 1));
+            return (true, obj.clone());
         }
+        CHECK_CACHE_MISSES.with(|c| c.set(c.get() + 1));
+        let obj = build();
+        if entry.cached_this.len() == CACHED_THIS_PER_CLASS {
+            entry.cached_this.pop_front();
+        } else {
+            CACHED_THIS_COUNT.with(|c| c.set(c.get() + 1));
+        }
+        entry.cached_this.push_back((fields.clone(), obj.clone()));
+        (true, obj)
     });
     (cacheable, Value::Object(obj))
 }
@@ -2076,6 +2101,62 @@ mod tests {
         assert!(err.to_string().contains("over"));
         let (h2, m2) = check_cache_stats();
         assert_eq!((h2 - h1, m2 - m1), (0, 1));
+    }
+
+    #[test]
+    fn alternating_snapshots_each_keep_their_cached_this() {
+        let class = policy_class(
+            r#"class Limit {
+                fn export_check(context) {
+                    if (this.used > this.limit) { throw "over"; }
+                }
+            }"#,
+        );
+        let snapshot = |limit: i64| {
+            let mut fields = BTreeMap::new();
+            fields.insert("used".to_string(), PValue::Int(5));
+            fields.insert("limit".to_string(), PValue::Int(limit));
+            fields
+        };
+        let (allow, deny) = (snapshot(10), snapshot(0));
+        let ctx = Context::new(GateKind::Http);
+        let (h0, m0) = check_cache_stats();
+        for _ in 0..3 {
+            eval_policy_method_on(Engine::Vm, &class, &allow, &ctx).unwrap();
+            eval_policy_method_on(Engine::Vm, &class, &deny, &ctx).unwrap_err();
+        }
+        let (h1, m1) = check_cache_stats();
+        assert_eq!((h1 - h0, m1 - m0), (4, 2), "one build per snapshot");
+        // The map is bounded: enough other snapshots evict the oldest,
+        // which is then rebuilt (a miss, never a stale verdict).
+        for limit in 100..100 + CACHED_THIS_PER_CLASS as i64 {
+            eval_policy_method_on(Engine::Vm, &class, &snapshot(limit), &ctx).unwrap();
+        }
+        let (h2, m2) = check_cache_stats();
+        eval_policy_method_on(Engine::Vm, &class, &allow, &ctx).unwrap();
+        let (h3, m3) = check_cache_stats();
+        assert_eq!((h3 - h2, m3 - m2), (0, 1), "evicted snapshot rebuilt");
+    }
+
+    #[test]
+    fn cached_objects_are_bounded_per_thread() {
+        // Each parse is a new class (a re-booted app): together they
+        // would cache more objects than the thread keeps.
+        let ctx = Context::new(GateKind::Http);
+        for _ in 0..2 * CACHED_THIS_PER_THREAD / CACHED_THIS_PER_CLASS {
+            let class = policy_class(
+                r#"class Reboot { fn export_check(context) { if (this.n < 0) { throw "neg"; } } }"#,
+            );
+            for n in 0..CACHED_THIS_PER_CLASS as i64 {
+                let mut fields = BTreeMap::new();
+                fields.insert("n".to_string(), PValue::Int(n));
+                eval_policy_method_on(Engine::Vm, &class, &fields, &ctx).unwrap();
+                assert!(CACHED_THIS_COUNT.with(|c| c.get()) <= CACHED_THIS_PER_THREAD);
+            }
+        }
+        let held: usize =
+            CHECK_PLANS.with(|p| p.borrow().values().map(|p| p.cached_this.len()).sum());
+        assert!(held <= CACHED_THIS_PER_THREAD, "{held} objects held");
     }
 
     #[test]

@@ -185,6 +185,53 @@ fn targeted_mutating_shapes_are_cache_transparent() {
                 context["seen"] = true;
             }
         }"#,
+        // Ineligible: `this` smuggled through an array literal.
+        r#"class Smuggle {
+            fn export_check(context) {
+                let a = [this];
+                let t = a[0];
+                t.f0 = t.f0 + 1;
+                if (t.f0 > 4) { throw "ran too often"; }
+            }
+        }"#,
+        // Ineligible: `this` stored in a map, mutated through it.
+        r#"class Mapped {
+            fn export_check(context) {
+                let m = map();
+                m["me"] = this;
+                let t = m["me"];
+                t.f1 = t.f1 + 1;
+                if (t.f1 > 9) { throw "ran too often"; }
+            }
+        }"#,
+        // Ineligible: `this` pushed into a list.
+        r#"class Pushed {
+            fn export_check(context) {
+                let xs = [0];
+                push(xs, this);
+                let t = xs[1];
+                t.f0 = t.f0 + 1;
+                if (t.f0 > 4) { throw "ran too often"; }
+            }
+        }"#,
+        // Ineligible: `this` passed to and returned from a helper.
+        r#"class Passed {
+            fn pass(o) { return o; }
+            fn export_check(context) {
+                let t = this.pass(this);
+                t.f2 = t.f2 + 1;
+                if (t.f2 > 12) { throw "ran too often"; }
+            }
+        }"#,
+        // Ineligible: `this` stored in the context.
+        r#"class Stashed {
+            fn export_check(context) {
+                context["me"] = this;
+                let t = context["me"];
+                t.f0 = t.f0 + 1;
+                if (t.f0 > 4) { throw "ran too often"; }
+            }
+        }"#,
     ] {
         assert_cache_transparent(src);
     }
@@ -231,7 +278,18 @@ impl PolicyGen {
     }
 
     fn stmt(&mut self, idx: u32) -> String {
-        match self.rng.below(8) {
+        match self.rng.below(9) {
+            // `this` hidden in a container or a helper's hands, then
+            // mutated or read back through the alias (escaping).
+            8 => match self.rng.below(5) {
+                0 => format!("let a{idx} = [this]; let t{idx} = a{idx}[0]; t{idx}.f0 = t{idx}.f0 + 1;"),
+                1 => format!(
+                    "let m{idx} = map(); m{idx}[\"me\"] = this; let t{idx} = m{idx}[\"me\"]; t{idx}.f1 = t{idx}.f1 + 1;"
+                ),
+                2 => format!("let xs{idx} = [0]; push(xs{idx}, this); let t{idx} = xs{idx}[1]; t{idx}.f0 = t{idx}.f0 * 2;"),
+                3 => format!("let t{idx} = this.pass(this); t{idx}.f2 = t{idx}.f2 + 1;"),
+                _ => format!("context[\"me{idx}\"] = this;"),
+            },
             // Pure local work.
             0 | 1 => format!("let v{idx} = {};", self.int_expr(2)),
             // Scratch write: a field never read by any generated code.
@@ -275,7 +333,7 @@ impl PolicyGen {
             String::new()
         };
         format!(
-            "class {name} {{\n{helper}    fn export_check(context) {{\n{body}        if {} {{ throw \"deny\"; }}\n    }}\n}}\n",
+            "class {name} {{\n{helper}    fn pass(o) {{ return o; }}\n    fn export_check(context) {{\n{body}        if {} {{ throw \"deny\"; }}\n    }}\n}}\n",
             self.cond()
         )
     }

@@ -343,8 +343,9 @@ fn main() {
         }
         let lt = resin_core::LabelTable::global().stats();
         println!(
-            "labels: {} live labels, {} policies, union cache {}",
-            lt.labels, lt.policies, lt.union_cache
+            "labels: {} live labels, {} policies, union cache {}, attach memo {} entries \
+             ({} hits, {} misses)",
+            lt.labels, lt.policies, lt.union_cache, lt.memo_entries, lt.memo_hits, lt.memo_misses
         );
         if opts.replica {
             replica_failed = !verify_replica(&addr, &dir);

@@ -19,7 +19,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use resin_core::{TaintedString, UntrustedData};
+use resin_core::{StaticLabel, TaintedString, UntrustedData};
 use resin_web::{Method, Request};
 
 /// Why a request was rejected at the parse boundary, mapped to the
@@ -255,9 +255,9 @@ pub fn parse_head(head: &[u8]) -> Result<Head, HttpError> {
     })
 }
 
-fn taint(value: &str, source: &str) -> TaintedString {
-    TaintedString::with_policy(value, Arc::new(UntrustedData::from_source(source)))
-}
+/// The raw request target's `UntrustedData` label, memoized.
+static HTTP_PATH: StaticLabel =
+    StaticLabel::new(|| Arc::new(UntrustedData::from_source("http_path")));
 
 /// Percent-decodes `raw` (plus `+` → space when `form` is set), lossily
 /// UTF-8. Invalid escapes pass through verbatim — the value is tainted
@@ -324,7 +324,10 @@ pub fn build_request(head: &Head, body: Option<&[u8]>) -> Request {
         Method::Get => Request::get(percent_decode(path_part, false)),
         Method::Post => Request::post(percent_decode(path_part, false)),
     };
-    req = req.with_raw_path(taint(&head.target, "http_path"));
+    req = req.with_raw_path(TaintedString::with_label(
+        head.target.as_str(),
+        HTTP_PATH.get(),
+    ));
     if let Some(q) = query {
         for (k, v) in form_pairs(q) {
             req = req.with_param(k, &v);

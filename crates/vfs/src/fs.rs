@@ -19,7 +19,7 @@
 use std::collections::BTreeMap;
 
 use resin_core::{
-    deserialize_spans, serialize_spans, Context, FlowError, FnFilter, Gate, GateKind, Runtime,
+    deserialize_spans, revive_spans, serialize_spans, Context, FlowError, Gate, GateKind, Runtime,
     TaintedString,
 };
 use resin_store::{SnapshotReader, SnapshotWriter};
@@ -795,21 +795,19 @@ impl Vfs {
             return Ok(TaintedString::from(file.content.as_str()));
         }
         // Pull the raw content in through the file gate: the governing
-        // mounts authorize the read first, then a revival filter (appended
-        // after them) deserializes the persistent policies — so unauthorized
-        // readers never trigger (or observe errors from) deserialization.
+        // mounts authorize the read first, and only then are the persistent
+        // policies revived onto the gate's output — so unauthorized readers
+        // never trigger (or observe errors from) deserialization.
         let mut gate = self.file_gate(&comps, path, ctx)?;
-        if let Some(spans) = file.xattrs.get(XATTR_POLICY) {
-            let spans = spans.clone();
-            gate.add_filter(Box::new(FnFilter::on_read(move |data, _, _| {
-                deserialize_spans(data.as_str(), &spans).map_err(FlowError::from)
-            })));
-        }
         gate.feed(TaintedString::from(file.content.as_str()));
-        Ok(gate
+        let mut data = gate
             .read()
             .map_err(VfsError::from)?
-            .expect("exactly one datum queued on the gate"))
+            .expect("exactly one datum queued on the gate");
+        if let Some(spans) = file.xattrs.get(XATTR_POLICY) {
+            revive_spans(&mut data, spans).map_err(FlowError::from)?;
+        }
+        Ok(data)
     }
 
     /// Reads raw bytes, bypassing policy revival and filters.

@@ -14,7 +14,8 @@
 use std::sync::Arc;
 
 use resin_core::{
-    HtmlSanitized, PolicyViolation, Result, TaintedStrBuilder, TaintedString, UntrustedData,
+    HtmlSanitized, PolicyViolation, Result, StaticLabel, TaintedStrBuilder, TaintedString,
+    UntrustedData,
 };
 
 /// Single-pass byte-escape walker shared by the HTML and JSON encoders:
@@ -25,36 +26,43 @@ use resin_core::{
 /// never split.
 pub(crate) fn escape_bytes(
     input: &TaintedString,
-    table: fn(u8) -> Option<&'static str>,
+    table: impl Fn(u8) -> Option<&'static str>,
 ) -> TaintedString {
     let text = input.as_str();
     let mut out = TaintedStrBuilder::with_capacity(text.len() + 8);
     let mut start = 0usize;
     for (i, b) in text.bytes().enumerate() {
         let Some(rep) = table(b) else { continue };
-        out.push_tainted(&input.slice(start..i));
+        out.push_range(input, start..i);
         out.push_str(rep);
         start = i + 1;
     }
-    out.push_tainted(&input.slice(start..text.len()));
+    out.push_range(input, start..text.len());
     out.build()
 }
+
+/// The sanitizer's marker label, memoized.
+static HTML_SANITIZED: StaticLabel = StaticLabel::new(|| Arc::new(HtmlSanitized::new()));
 
 /// Escapes HTML metacharacters and attaches the [`HtmlSanitized`] marker.
 ///
 /// This is "the existing sanitization function" of §5.3 step 3: it both
 /// neutralizes the data *and* records the evidence that it did.
 pub fn html_escape(input: &TaintedString) -> TaintedString {
-    let mut out = escape_bytes(input, |b| match b {
+    let mut out = escape_bytes(input, html_replacement);
+    out.add_label(HTML_SANITIZED.get());
+    out
+}
+
+fn html_replacement(b: u8) -> Option<&'static str> {
+    match b {
         b'&' => Some("&amp;"),
         b'<' => Some("&lt;"),
         b'>' => Some("&gt;"),
         b'"' => Some("&quot;"),
         b'\'' => Some("&#39;"),
         _ => None,
-    });
-    out.add_policy(Arc::new(HtmlSanitized::new()));
-    out
+    }
 }
 
 /// Strategy 1: every untrusted byte must carry the sanitizer's marker.
@@ -122,9 +130,87 @@ pub fn check_html_structure(output: &TaintedString) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use resin_core::{PolicyRef, SqlSanitized};
 
     fn untrusted(s: &str) -> TaintedString {
         TaintedString::with_policy(s, Arc::new(UntrustedData::new()))
+    }
+
+    /// The slice-per-run walker `escape_bytes` replaced, kept as the
+    /// differential oracle: each safe run is sliced into its own
+    /// `TaintedString` and pushed.
+    fn escape_bytes_sliced(
+        input: &TaintedString,
+        table: fn(u8) -> Option<&'static str>,
+    ) -> TaintedString {
+        let text = input.as_str();
+        let mut out = TaintedStrBuilder::with_capacity(text.len() + 8);
+        let mut start = 0usize;
+        for (i, b) in text.bytes().enumerate() {
+            let Some(rep) = table(b) else { continue };
+            out.push_tainted(&input.slice(start..i));
+            out.push_str(rep);
+            start = i + 1;
+        }
+        out.push_tainted(&input.slice(start..text.len()));
+        out.build()
+    }
+
+    /// Generated escaper input: metacharacters (often adjacent),
+    /// multibyte UTF-8 and control bytes, with up to five overlapping
+    /// labeled ranges drawn from a small policy pool.
+    fn generated(rng: &mut proptest::TestRng) -> TaintedString {
+        const PIECES: &[&str] = &[
+            "a", "b", " ", "<", ">", "&", "\"", "'", "\\", "\n", "\r", "\t", "\u{1}", "\u{1f}",
+            "é", "日本", "🙂", "<<", "&&", "\"'",
+        ];
+        let pool: [PolicyRef; 4] = [
+            Arc::new(UntrustedData::from_source("esc-a")),
+            Arc::new(UntrustedData::from_source("esc-b")),
+            Arc::new(SqlSanitized::new()),
+            Arc::new(HtmlSanitized::new()),
+        ];
+        let mut text = String::new();
+        for _ in 0..rng.below(24) {
+            text.push_str(PIECES[rng.below(PIECES.len() as u64) as usize]);
+        }
+        let bounds: Vec<usize> = (0..=text.len())
+            .filter(|&i| text.is_char_boundary(i))
+            .collect();
+        let mut s = TaintedString::from(text);
+        for _ in 0..rng.below(6) {
+            let a = bounds[rng.below(bounds.len() as u64) as usize];
+            let b = bounds[rng.below(bounds.len() as u64) as usize];
+            let policy = pool[rng.below(pool.len() as u64) as usize].clone();
+            s.add_policy_range(a.min(b)..a.max(b), policy);
+        }
+        s
+    }
+
+    /// Byte- and label-identical, span for span.
+    fn assert_identical(got: &TaintedString, want: &TaintedString, input: &TaintedString) {
+        assert_eq!(got.as_str(), want.as_str(), "input {input:?}");
+        for i in 0..got.len() {
+            assert_eq!(got.label_at(i), want.label_at(i), "byte {i} of {input:?}");
+        }
+        let spans = |s: &TaintedString| s.spans().collect::<Vec<_>>();
+        assert_eq!(spans(got), spans(want), "input {input:?}");
+    }
+
+    #[test]
+    fn escapers_match_the_sliced_oracle() {
+        let mut rng = proptest::TestRng::new(proptest::seed_from_name("escape_oracle"));
+        let mut inputs: Vec<TaintedString> = (0..600).map(|_| generated(&mut rng)).collect();
+        inputs.push(TaintedString::new());
+        inputs.push(untrusted(""));
+        for input in &inputs {
+            let mut want = escape_bytes_sliced(input, html_replacement);
+            want.add_policy(Arc::new(HtmlSanitized::new()));
+            assert_identical(&html_escape(input), &want, input);
+
+            let want = escape_bytes_sliced(input, crate::json::json_replacement);
+            assert_identical(&crate::json::escape_tainted(input), &want, input);
+        }
     }
 
     #[test]

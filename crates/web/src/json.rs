@@ -42,7 +42,11 @@ pub fn encode_object(fields: &BTreeMap<String, TaintedString>) -> TaintedString 
 /// differently than [`check_json_structure`] saw — the same
 /// parser-differential shape as response splitting.
 pub fn escape_tainted(v: &TaintedString) -> TaintedString {
-    crate::html::escape_bytes(v, |b| match b {
+    crate::html::escape_bytes(v, json_replacement)
+}
+
+pub(crate) fn json_replacement(b: u8) -> Option<&'static str> {
+    match b {
         b'\\' => Some("\\\\"),
         b'"' => Some("\\\""),
         b'\n' => Some("\\n"),
@@ -52,7 +56,7 @@ pub fn escape_tainted(v: &TaintedString) -> TaintedString {
         b'>' => Some("\\u003e"),
         b if b < 0x20 => Some(CONTROL_ESCAPES[b as usize]),
         _ => None,
-    })
+    }
 }
 
 /// `\u00XX` escapes indexed by control byte (the `\n`/`\r`/`\t` slots are

@@ -9,7 +9,19 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use resin_core::{TaintedString, UntrustedData};
+use resin_core::{StaticLabel, TaintedString, UntrustedData};
+
+// The boundary sources' `UntrustedData` labels, one memo slot each: a
+// request field is tainted with two atomic loads, not an intern.
+static HTTP_PARAM: StaticLabel =
+    StaticLabel::new(|| Arc::new(UntrustedData::from_source("http_param")));
+static HTTP_COOKIE: StaticLabel =
+    StaticLabel::new(|| Arc::new(UntrustedData::from_source("http_cookie")));
+static HTTP_HEADER: StaticLabel =
+    StaticLabel::new(|| Arc::new(UntrustedData::from_source("http_header")));
+static HTTP_BODY: StaticLabel =
+    StaticLabel::new(|| Arc::new(UntrustedData::from_source("http_body")));
+static UPLOAD: StaticLabel = StaticLabel::new(|| Arc::new(UntrustedData::from_source("upload")));
 
 /// HTTP method.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,21 +82,21 @@ impl Request {
         }
     }
 
-    fn taint(value: &str, source: &str) -> TaintedString {
-        TaintedString::with_policy(value, Arc::new(UntrustedData::from_source(source)))
+    fn taint(value: &str, source: &'static StaticLabel) -> TaintedString {
+        TaintedString::with_label(value, source.get())
     }
 
     /// Adds a query/form parameter; the value is marked untrusted.
     pub fn with_param(mut self, key: impl Into<String>, value: &str) -> Self {
         self.params
-            .insert(key.into(), Self::taint(value, "http_param"));
+            .insert(key.into(), Self::taint(value, &HTTP_PARAM));
         self
     }
 
     /// Adds a cookie; the value is marked untrusted.
     pub fn with_cookie(mut self, key: impl Into<String>, value: &str) -> Self {
         self.cookies
-            .insert(key.into(), Self::taint(value, "http_cookie"));
+            .insert(key.into(), Self::taint(value, &HTTP_COOKIE));
         self
     }
 
@@ -93,14 +105,14 @@ impl Request {
     pub fn with_header(mut self, name: impl Into<String>, value: &str) -> Self {
         self.headers.insert(
             name.into().to_ascii_lowercase(),
-            Self::taint(value, "http_header"),
+            Self::taint(value, &HTTP_HEADER),
         );
         self
     }
 
     /// Sets the raw request body; marked untrusted.
     pub fn with_body(mut self, body: &str) -> Self {
-        self.body = Some(Self::taint(body, "http_body"));
+        self.body = Some(Self::taint(body, &HTTP_BODY));
         self
     }
 
@@ -114,8 +126,8 @@ impl Request {
     /// Adds an uploaded file; name and content are marked untrusted.
     pub fn with_upload(mut self, filename: &str, content: &str) -> Self {
         self.uploads.push(Upload {
-            filename: Self::taint(filename, "upload"),
-            content: Self::taint(content, "upload"),
+            filename: Self::taint(filename, &UPLOAD),
+            content: Self::taint(content, &UPLOAD),
         });
         self
     }
