@@ -215,7 +215,7 @@ fn forum_xss_highlight(resin: bool) -> bool {
 }
 
 fn gradapp_injection(resin: bool, path: u8) -> bool {
-    let mut g = GradApp::new(resin);
+    let g = GradApp::new(resin);
     match path {
         1 => g
             .committee_filter_by_decision(&input("admit' OR '1'='1"))

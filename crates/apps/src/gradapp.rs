@@ -14,14 +14,14 @@
 use std::sync::Arc;
 
 use resin_core::{SqlSanitized, TaintedString};
-use resin_sql::{GuardMode, ResinDb, SqlError, TaintedResult, Tracking};
+use resin_sql::{GuardMode, SharedDb, SqlError, TaintedResult, Tracking};
 
 /// Lines of the SQL-injection assertion.
 pub const ASSERTION_LOC: usize = 9;
 
 /// The admissions application.
 pub struct GradApp {
-    db: ResinDb,
+    db: SharedDb,
 }
 
 impl GradApp {
@@ -34,7 +34,7 @@ impl GradApp {
             GuardMode::Off
         };
         let tracking = if resin { Tracking::On } else { Tracking::Off };
-        let mut db = ResinDb::with_modes(tracking, guard);
+        let db = SharedDb::with_modes(tracking, guard);
         db.query_str(
             "CREATE TABLE applicants (id INTEGER, name TEXT, gre INTEGER, decision TEXT, ssn TEXT)",
         )
@@ -57,7 +57,7 @@ impl GradApp {
     }
 
     /// A *correct* public path: looks an applicant up by name, sanitized.
-    pub fn public_status(&mut self, name: &TaintedString) -> Result<TaintedResult, SqlError> {
+    pub fn public_status(&self, name: &TaintedString) -> Result<TaintedResult, SqlError> {
         let mut q = TaintedString::from("SELECT name, decision FROM applicants WHERE name = '");
         q.push_tainted(&Self::sanitize(name));
         q.push_str("'");
@@ -66,7 +66,7 @@ impl GradApp {
 
     /// Internal-UI path #1 (vulnerable): filter by decision, raw.
     pub fn committee_filter_by_decision(
-        &mut self,
+        &self,
         decision: &TaintedString,
     ) -> Result<TaintedResult, SqlError> {
         let mut q = TaintedString::from("SELECT name, gre, ssn FROM applicants WHERE decision = '");
@@ -76,7 +76,7 @@ impl GradApp {
     }
 
     /// Internal-UI path #2 (vulnerable): free-form name search, raw.
-    pub fn committee_search(&mut self, needle: &TaintedString) -> Result<TaintedResult, SqlError> {
+    pub fn committee_search(&self, needle: &TaintedString) -> Result<TaintedResult, SqlError> {
         let mut q = TaintedString::from("SELECT name, gre FROM applicants WHERE name LIKE '");
         q.push_tainted(needle); // BUG: no sanitize.
         q.push_str("%'");
@@ -85,7 +85,7 @@ impl GradApp {
 
     /// Internal-UI path #3 (vulnerable): update a decision, raw.
     pub fn committee_set_decision(
-        &mut self,
+        &self,
         id: &TaintedString,
         decision: &TaintedString,
     ) -> Result<TaintedResult, SqlError> {
@@ -97,8 +97,8 @@ impl GradApp {
     }
 
     /// Direct engine access for tests.
-    pub fn db(&mut self) -> &mut ResinDb {
-        &mut self.db
+    pub fn db(&self) -> &SharedDb {
+        &self.db
     }
 }
 
@@ -113,7 +113,7 @@ mod tests {
 
     #[test]
     fn public_path_is_safe_and_functional() {
-        let mut g = GradApp::new(true);
+        let g = GradApp::new(true);
         let r = g.public_status(&input("Ada")).unwrap();
         assert_eq!(r.rows.len(), 1);
         // Hostile input is neutralized by the sanitizer, and allowed.
@@ -123,7 +123,7 @@ mod tests {
 
     #[test]
     fn injection_path1_blocked_with_resin() {
-        let mut g = GradApp::new(true);
+        let g = GradApp::new(true);
         let err = g
             .committee_filter_by_decision(&input("admit' OR '1'='1"))
             .unwrap_err();
@@ -132,7 +132,7 @@ mod tests {
 
     #[test]
     fn injection_path1_dumps_ssns_without_resin() {
-        let mut g = GradApp::new(false);
+        let g = GradApp::new(false);
         let r = g
             .committee_filter_by_decision(&input("admit' OR '1'='1"))
             .unwrap();
@@ -141,7 +141,7 @@ mod tests {
 
     #[test]
     fn injection_path2_blocked_with_resin() {
-        let mut g = GradApp::new(true);
+        let g = GradApp::new(true);
         let err = g
             .committee_search(&input("%' OR gre > 0 OR name LIKE '"))
             .unwrap_err();
@@ -150,7 +150,7 @@ mod tests {
 
     #[test]
     fn injection_path3_blocked_with_resin() {
-        let mut g = GradApp::new(true);
+        let g = GradApp::new(true);
         let err = g
             .committee_set_decision(&input("1"), &input("admit' WHERE id = 2 OR '1'='1"))
             .unwrap_err();
@@ -159,7 +159,7 @@ mod tests {
 
     #[test]
     fn injection_path3_rewrites_all_without_resin() {
-        let mut g = GradApp::new(false);
+        let g = GradApp::new(false);
         g.committee_set_decision(&input("1 OR 1=1"), &input("admit"))
             .unwrap();
         let r = g
@@ -174,7 +174,7 @@ mod tests {
         // The guard only fires on *unsanitized* input reaching the query;
         // the committee's normal flows keep working once input passes the
         // sanitizer.
-        let mut g = GradApp::new(true);
+        let g = GradApp::new(true);
         let clean = GradApp::sanitize(&input("admit"));
         let mut q = TaintedString::from("SELECT name FROM applicants WHERE decision = '");
         q.push_tainted(&clean);

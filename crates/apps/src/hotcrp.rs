@@ -17,7 +17,7 @@
 use std::sync::Arc;
 
 use resin_core::{Acl, PagePolicy, PasswordPolicy, Right, TaintedString};
-use resin_sql::{ResinDb, SqlError, Tracking};
+use resin_sql::{SharedDb, SqlError, Tracking};
 use resin_web::{Mailer, Response};
 
 /// Lines of the password assertion (policy definition + attach points).
@@ -29,7 +29,7 @@ pub const AUTHOR_ASSERTION_LOC: usize = 32;
 
 /// The HotCRP application.
 pub struct HotCrp {
-    db: ResinDb,
+    db: SharedDb,
     /// The mail transport (preview mode is the admin feature the exploit
     /// combines with the reminder).
     pub mailer: Mailer,
@@ -43,7 +43,7 @@ impl HotCrp {
     /// disabling them models the original vulnerable application.
     pub fn new(resin: bool) -> Self {
         let tracking = if resin { Tracking::On } else { Tracking::Off };
-        let mut db = ResinDb::with_modes(tracking, resin_sql::GuardMode::Off);
+        let db = SharedDb::with_modes(tracking, resin_sql::GuardMode::Off);
         db.query_str("CREATE TABLE users (email TEXT, password TEXT, chair INTEGER)")
             .expect("schema");
         db.query_str(
@@ -162,7 +162,7 @@ impl HotCrp {
         self.db.query(&q).expect("insert review");
     }
 
-    fn fetch_user_password(&mut self, email: &str) -> Result<Option<TaintedString>, SqlError> {
+    fn fetch_user_password(&self, email: &str) -> Result<Option<TaintedString>, SqlError> {
         let r = self.db.query_str(&format!(
             "SELECT password FROM users WHERE email = '{}'",
             sql_escape(email)

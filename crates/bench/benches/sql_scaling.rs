@@ -10,12 +10,12 @@
 //! * **top10** — `ORDER BY id DESC LIMIT 10`: ordered iteration
 //!   sort-skip against sort-the-world.
 //!
-//! Both sides run the same taint-tracking `ResinDb` pipeline; the only
+//! Both sides run the same taint-tracking `SharedDb` pipeline; the only
 //! variable is whether indexes exist, which is exactly the differential
 //! the equivalence suite proves bit-identical.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use resin_sql::ResinDb;
+use resin_sql::SharedDb;
 
 fn sizes() -> &'static [(i64, &'static str)] {
     let quick = std::env::var("RESIN_BENCH_QUICK").is_ok_and(|v| !v.is_empty() && v != "0");
@@ -26,8 +26,8 @@ fn sizes() -> &'static [(i64, &'static str)] {
     }
 }
 
-fn build(n: i64, indexed: bool) -> ResinDb {
-    let mut db = ResinDb::new();
+fn build(n: i64, indexed: bool) -> SharedDb {
+    let db = SharedDb::new();
     db.query_str("CREATE TABLE posts (id INTEGER, body TEXT)")
         .unwrap();
     if indexed {
@@ -48,7 +48,7 @@ fn sql_scaling(c: &mut Criterion) {
     for &(n, tag) in sizes() {
         let mut g = c.benchmark_group(format!("sql_scaling/point_{tag}"));
         for (label, indexed) in [("indexed", true), ("scan", false)] {
-            let mut db = build(n, indexed);
+            let db = build(n, indexed);
             let sel = db.prepare("SELECT body FROM posts WHERE id = ?").unwrap();
             let mut i = 0i64;
             g.bench_function(label, |b| {
@@ -62,7 +62,7 @@ fn sql_scaling(c: &mut Criterion) {
 
         let mut g = c.benchmark_group(format!("sql_scaling/range_{tag}"));
         for (label, indexed) in [("indexed", true), ("scan", false)] {
-            let mut db = build(n, indexed);
+            let db = build(n, indexed);
             let sel = db
                 .prepare("SELECT id FROM posts WHERE id >= ? AND id < ?")
                 .unwrap();
@@ -79,7 +79,7 @@ fn sql_scaling(c: &mut Criterion) {
 
         let mut g = c.benchmark_group(format!("sql_scaling/top10_{tag}"));
         for (label, indexed) in [("indexed", true), ("scan", false)] {
-            let mut db = build(n, indexed);
+            let db = build(n, indexed);
             g.bench_function(label, |b| {
                 b.iter(|| {
                     db.query_str("SELECT id FROM posts ORDER BY id DESC LIMIT 10")

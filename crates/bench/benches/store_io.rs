@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use resin_core::prelude::*;
-use resin_sql::{GuardMode, ResinDb, Tracking};
+use resin_sql::{GuardMode, SharedDb, Tracking};
 
 fn tmp_dir(tag: &str) -> PathBuf {
     static N: AtomicU64 = AtomicU64::new(0);
@@ -41,8 +41,8 @@ fn tainted_insert(i: i64) -> TaintedString {
     q
 }
 
-fn durable_db(dir: &PathBuf, sync: bool) -> ResinDb {
-    let mut db = ResinDb::open_with_modes(dir, Tracking::On, GuardMode::Off).unwrap();
+fn durable_db(dir: &PathBuf, sync: bool) -> SharedDb {
+    let db = SharedDb::open_with_modes(dir, Tracking::On, GuardMode::Off).unwrap();
     db.set_wal_sync(sync);
     db.query_str("CREATE TABLE posts (id INTEGER, body TEXT)")
         .unwrap();
@@ -53,7 +53,7 @@ fn wal_append(c: &mut Criterion) {
     let mut g = c.benchmark_group("store_io/wal_append");
 
     // Baseline: the same insert with no store attached.
-    let mut mem = ResinDb::new();
+    let mem = SharedDb::new();
     mem.query_str("CREATE TABLE posts (id INTEGER, body TEXT)")
         .unwrap();
     let mut i = 0i64;
@@ -66,7 +66,7 @@ fn wal_append(c: &mut Criterion) {
 
     for (name, sync) in [("insert_wal_nosync", false), ("insert_wal_fsync", true)] {
         let dir = tmp_dir(name);
-        let mut db = durable_db(&dir, sync);
+        let db = durable_db(&dir, sync);
         let mut i = 0i64;
         g.bench_function(name, |b| {
             b.iter(|| {
@@ -86,7 +86,7 @@ fn checkpoint(c: &mut Criterion) {
     let mut g = c.benchmark_group("store_io/checkpoint");
     g.throughput(Throughput::Elements(ROWS as u64));
     let dir = tmp_dir("checkpoint");
-    let mut db = durable_db(&dir, false);
+    let db = durable_db(&dir, false);
     for i in 0..ROWS {
         db.query(&tainted_insert(i as i64)).unwrap();
     }
@@ -105,28 +105,28 @@ fn recover(c: &mut Criterion) {
     // Cold open replaying a pure WAL (no snapshot): the worst case.
     let wal_dir = tmp_dir("recover-wal");
     {
-        let mut db = durable_db(&wal_dir, false);
+        let db = durable_db(&wal_dir, false);
         for i in 0..ROWS {
             db.query(&tainted_insert(i as i64)).unwrap();
         }
         // No checkpoint: recovery must replay all ROWS statements.
     }
     g.bench_function(BenchmarkId::new("wal_replay", ROWS), |b| {
-        b.iter(|| ResinDb::open(&wal_dir).unwrap());
+        b.iter(|| SharedDb::open(&wal_dir).unwrap());
     });
     let _ = std::fs::remove_dir_all(&wal_dir);
 
     // Cold open from a snapshot alone: the post-checkpoint fast path.
     let snap_dir = tmp_dir("recover-snap");
     {
-        let mut db = durable_db(&snap_dir, false);
+        let db = durable_db(&snap_dir, false);
         for i in 0..ROWS {
             db.query(&tainted_insert(i as i64)).unwrap();
         }
-        db.close().unwrap();
+        db.checkpoint().unwrap();
     }
     g.bench_function(BenchmarkId::new("snapshot_load", ROWS), |b| {
-        b.iter(|| ResinDb::open(&snap_dir).unwrap());
+        b.iter(|| SharedDb::open(&snap_dir).unwrap());
     });
     let _ = std::fs::remove_dir_all(&snap_dir);
     g.finish();

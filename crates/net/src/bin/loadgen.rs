@@ -169,20 +169,27 @@ fn worker(addr: &str, deadline: Instant, write_every: usize, id: usize) -> Worke
         }
     };
 
-    // Seed one post so `GET /view?id=1` always resolves.
+    // Seed one post and read back its id from the `posted {id}` reply:
+    // ids are taken before the insert lands, so a lower id (another
+    // worker's seed) may not be readable yet, while our own acknowledged
+    // one always is.
     let seed = format!("body=seed+post+from+load{id}");
     let seed_req = format!(
         "POST /post HTTP/1.1\r\nCookie: sid={sid}\r\nContent-Length: {}\r\n\r\n{seed}",
         seed.len()
     );
-    if stream
+    let seeded = stream
         .write_all(seed_req.as_bytes())
-        .and_then(|()| read_response(&mut stream))
-        .is_err()
-    {
+        .and_then(|()| read_response(&mut stream));
+    let post_id = match &seeded {
+        Ok((status, body)) if status.contains(" 200 ") => body.strip_prefix("posted "),
+        _ => None,
+    };
+    let Some(post_id) = post_id else {
         report.errors += 1;
         return report;
-    }
+    };
+    let view = format!("GET /view?id={post_id} HTTP/1.1\r\n\r\n");
 
     let mut n: usize = 0;
     while Instant::now() < deadline {
@@ -195,7 +202,7 @@ fn worker(addr: &str, deadline: Instant, write_every: usize, id: usize) -> Worke
                 body.len()
             )
         } else {
-            "GET /view?id=1 HTTP/1.1\r\n\r\n".to_string()
+            view.clone()
         };
         let start = Instant::now();
         if stream.write_all(request.as_bytes()).is_err() {

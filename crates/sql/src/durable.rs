@@ -386,11 +386,6 @@ impl SqlStore {
         mlock(&self.dirty).len()
     }
 
-    /// Appends one post-guard statement to the WAL.
-    pub fn log(&self, sql: &TaintedString) -> Result<()> {
-        self.log_batch(std::slice::from_ref(sql))
-    }
-
     /// Appends a statement batch as one atomic WAL record (empty batches
     /// write nothing). Concurrent callers share fsyncs via the store's
     /// group-commit queue.
@@ -410,9 +405,8 @@ impl SqlStore {
     /// O(changed data), not O(database).
     ///
     /// The caller must exclude concurrent durable writers for the whole
-    /// call (`SharedDb` holds its checkpoint lock exclusively; `ResinDb`
-    /// is `&mut`): the dirty set is snapshotted at entry and cleared
-    /// wholesale on success.
+    /// call (`SharedDb` holds its checkpoint lock exclusively): the dirty
+    /// set is snapshotted at entry and cleared wholesale on success.
     pub fn checkpoint<'a>(
         &self,
         tables: impl IntoIterator<Item = (&'a str, &'a Table)>,

@@ -7,13 +7,10 @@
 //!
 //! The per-table operations (`table_insert`, `table_select`,
 //! `table_update`, `table_delete`) are free functions over a single
-//! [`Table`], so they serve two storage layouts: the single-threaded
-//! [`Database`] here (a plain map of tables) and the lock-sharded
-//! [`crate::shard::ShardedDatabase`] (one `RwLock` per table).
+//! [`Table`]; the lock-sharded [`crate::shard::ShardedDatabase`] (one
+//! `RwLock` per table) dispatches each statement to them.
 
-use std::collections::BTreeMap;
-
-use crate::ast::{BinOp, ColumnDef, Expr, IndexKind, LitValue, Projection, SelectStmt, Statement};
+use crate::ast::{BinOp, ColumnDef, Expr, IndexKind, LitValue, Projection, SelectStmt};
 use crate::error::{Result, SqlError};
 use crate::index::Index;
 use crate::plan::{self, Access};
@@ -97,209 +94,7 @@ pub struct QueryResult {
     pub affected: usize,
 }
 
-/// The in-memory database.
-#[derive(Debug, Default, Clone)]
-pub struct Database {
-    tables: BTreeMap<String, Table>,
-}
-
-impl Database {
-    /// An empty database.
-    pub fn new() -> Self {
-        Database::default()
-    }
-
-    /// The schema of `table`, if it exists.
-    pub fn table(&self, name: &str) -> Option<&Table> {
-        self.tables.get(name)
-    }
-
-    /// Names of all tables.
-    pub fn table_names(&self) -> Vec<&str> {
-        self.tables.keys().map(|s| s.as_str()).collect()
-    }
-
-    /// Executes a parsed statement.
-    pub fn execute(&mut self, stmt: &Statement) -> Result<QueryResult> {
-        self.execute_with_params(stmt, &[])
-    }
-
-    /// Executes a parsed statement with bind-parameter values. `params[i]`
-    /// is the value of the `i`-th `?` placeholder in text order.
-    pub fn execute_with_params(
-        &mut self,
-        stmt: &Statement,
-        params: &[Value],
-    ) -> Result<QueryResult> {
-        match stmt {
-            Statement::CreateTable {
-                name,
-                columns,
-                if_not_exists,
-                primary_key,
-            } => self.create_table(name, columns, *if_not_exists, primary_key.as_deref()),
-            Statement::DropTable { name } => {
-                if self.tables.remove(name).is_none() {
-                    return Err(SqlError::schema(format!("no such table `{name}`")));
-                }
-                Ok(QueryResult::default())
-            }
-            Statement::CreateIndex {
-                name,
-                table,
-                column,
-                kind,
-                if_not_exists,
-            } => {
-                let t = self
-                    .tables
-                    .get_mut(table)
-                    .ok_or_else(|| SqlError::schema(format!("no such table `{table}`")))?;
-                t.create_index(name, column, *kind, *if_not_exists)?;
-                Ok(QueryResult::default())
-            }
-            Statement::DropIndex { name, table } => {
-                let t = self
-                    .tables
-                    .get_mut(table)
-                    .ok_or_else(|| SqlError::schema(format!("no such table `{table}`")))?;
-                t.drop_index(name)?;
-                Ok(QueryResult::default())
-            }
-            Statement::Insert {
-                table,
-                columns,
-                rows,
-            } => self.insert(table, columns.as_deref(), rows, params),
-            Statement::Select(sel) => self.select(sel, params),
-            Statement::Update {
-                table,
-                assignments,
-                where_clause,
-            } => self.update(table, assignments, where_clause.as_ref(), params),
-            Statement::Delete {
-                table,
-                where_clause,
-            } => self.delete(table, where_clause.as_ref(), params),
-        }
-    }
-
-    /// Parses and executes a query string.
-    pub fn execute_str(&mut self, sql: &str) -> Result<QueryResult> {
-        let stmt = crate::parser::parse_str(sql)?;
-        self.execute(&stmt)
-    }
-
-    /// The access path the planner would pick for a SELECT — a one-line
-    /// `EXPLAIN` (e.g. `probe-eq(users via pk_users [BTREE], 1 key)`)
-    /// for tests and diagnostics. Non-SELECT statements report
-    /// `(not a select)`.
-    pub fn explain(&self, sql: &str) -> Result<String> {
-        let stmt = crate::parser::parse_str(sql)?;
-        let Statement::Select(sel) = stmt else {
-            return Ok("(not a select)".to_string());
-        };
-        let t = self
-            .table(&sel.table)
-            .ok_or_else(|| SqlError::schema(format!("no such table `{}`", sel.table)))?;
-        Ok(plan::explain_select(t, &sel, &[]))
-    }
-
-    /// Installs `table` under `name` (transaction-rollback support).
-    pub(crate) fn set_table(&mut self, name: &str, table: Table) {
-        self.tables.insert(name.to_string(), table);
-    }
-
-    /// Removes `name` entirely (transaction-rollback support).
-    pub(crate) fn remove_table(&mut self, name: &str) -> Option<Table> {
-        self.tables.remove(name)
-    }
-
-    fn create_table(
-        &mut self,
-        name: &str,
-        columns: &[ColumnDef],
-        if_not_exists: bool,
-        primary_key: Option<&str>,
-    ) -> Result<QueryResult> {
-        check_table_name(name)?;
-        if self.tables.contains_key(name) {
-            if if_not_exists {
-                return Ok(QueryResult::default());
-            }
-            return Err(SqlError::schema(format!("table `{name}` already exists")));
-        }
-        let mut table = new_table(columns)?;
-        if let Some(pk) = primary_key {
-            table.create_index(&format!("pk_{name}"), pk, IndexKind::Ordered, false)?;
-        }
-        self.tables.insert(name.to_string(), table);
-        Ok(QueryResult::default())
-    }
-
-    fn insert(
-        &mut self,
-        table: &str,
-        columns: Option<&[String]>,
-        rows: &[Vec<Expr>],
-        params: &[Value],
-    ) -> Result<QueryResult> {
-        let t = self
-            .tables
-            .get_mut(table)
-            .ok_or_else(|| SqlError::schema(format!("no such table `{table}`")))?;
-        let affected = table_insert(t, table, columns, rows, params)?;
-        Ok(QueryResult {
-            affected,
-            ..QueryResult::default()
-        })
-    }
-
-    fn select(&mut self, sel: &SelectStmt, params: &[Value]) -> Result<QueryResult> {
-        let t = self
-            .tables
-            .get(&sel.table)
-            .ok_or_else(|| SqlError::schema(format!("no such table `{}`", sel.table)))?;
-        table_select(t, sel, params)
-    }
-
-    fn update(
-        &mut self,
-        table: &str,
-        assignments: &[(String, Expr)],
-        where_clause: Option<&Expr>,
-        params: &[Value],
-    ) -> Result<QueryResult> {
-        let t = self
-            .tables
-            .get_mut(table)
-            .ok_or_else(|| SqlError::schema(format!("no such table `{table}`")))?;
-        let affected = table_update(t, assignments, where_clause, params)?;
-        Ok(QueryResult {
-            affected,
-            ..QueryResult::default()
-        })
-    }
-
-    fn delete(
-        &mut self,
-        table: &str,
-        where_clause: Option<&Expr>,
-        params: &[Value],
-    ) -> Result<QueryResult> {
-        let t = self
-            .tables
-            .get_mut(table)
-            .ok_or_else(|| SqlError::schema(format!("no such table `{table}`")))?;
-        let affected = table_delete(t, where_clause, params)?;
-        Ok(QueryResult {
-            affected,
-            ..QueryResult::default()
-        })
-    }
-}
-
-// ---- per-table operations, shared by both storage layouts ----
+// ---- per-table operations ----
 
 /// Validates `columns` and builds an empty [`Table`].
 pub(crate) fn new_table(columns: &[ColumnDef]) -> Result<Table> {
@@ -634,9 +429,11 @@ fn eval_expr(t: &Table, row: &[Value], expr: &Expr, params: &[Value]) -> Result<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::Statement;
+    use crate::shard::ShardedDatabase;
 
-    fn db_with_users() -> Database {
-        let mut db = Database::new();
+    fn db_with_users() -> ShardedDatabase {
+        let db = ShardedDatabase::new();
         db.execute_str("CREATE TABLE users (id INTEGER, name TEXT, age INTEGER)")
             .unwrap();
         db.execute_str(
@@ -648,7 +445,7 @@ mod tests {
 
     #[test]
     fn create_insert_select() {
-        let mut db = db_with_users();
+        let db = db_with_users();
         let r = db
             .execute_str("SELECT name FROM users WHERE age > 26")
             .unwrap();
@@ -658,7 +455,7 @@ mod tests {
 
     #[test]
     fn select_star_and_order() {
-        let mut db = db_with_users();
+        let db = db_with_users();
         let r = db
             .execute_str("SELECT * FROM users ORDER BY age DESC LIMIT 2")
             .unwrap();
@@ -669,7 +466,7 @@ mod tests {
 
     #[test]
     fn count_star() {
-        let mut db = db_with_users();
+        let db = db_with_users();
         let r = db
             .execute_str("SELECT COUNT(*) FROM users WHERE age < 31")
             .unwrap();
@@ -678,7 +475,7 @@ mod tests {
 
     #[test]
     fn update_rows() {
-        let mut db = db_with_users();
+        let db = db_with_users();
         let r = db
             .execute_str("UPDATE users SET age = 26 WHERE name = 'bob'")
             .unwrap();
@@ -691,7 +488,7 @@ mod tests {
 
     #[test]
     fn delete_rows() {
-        let mut db = db_with_users();
+        let db = db_with_users();
         let r = db.execute_str("DELETE FROM users WHERE age >= 30").unwrap();
         assert_eq!(r.affected, 2);
         let r = db.execute_str("SELECT COUNT(*) FROM users").unwrap();
@@ -700,7 +497,7 @@ mod tests {
 
     #[test]
     fn insert_with_columns_fills_null() {
-        let mut db = db_with_users();
+        let db = db_with_users();
         db.execute_str("INSERT INTO users (id, name) VALUES (4, 'dan')")
             .unwrap();
         let r = db
@@ -715,7 +512,7 @@ mod tests {
 
     #[test]
     fn like_and_in_filters() {
-        let mut db = db_with_users();
+        let db = db_with_users();
         let r = db
             .execute_str("SELECT name FROM users WHERE name LIKE '%o%'")
             .unwrap();
@@ -732,7 +529,7 @@ mod tests {
 
     #[test]
     fn schema_errors() {
-        let mut db = db_with_users();
+        let db = db_with_users();
         assert!(db.execute_str("SELECT nope FROM users").is_err());
         assert!(db.execute_str("SELECT * FROM nope").is_err());
         assert!(db.execute_str("INSERT INTO users VALUES (1)").is_err());
@@ -747,19 +544,19 @@ mod tests {
 
     #[test]
     fn if_not_exists_is_idempotent() {
-        let mut db = db_with_users();
+        let db = db_with_users();
         assert!(db
             .execute_str("CREATE TABLE IF NOT EXISTS users (id INTEGER)")
             .is_ok());
         // Original schema retained.
-        assert_eq!(db.table("users").unwrap().columns.len(), 3);
+        assert_eq!(db.snapshot_table("users").unwrap().columns.len(), 3);
     }
 
     #[test]
     fn drop_table() {
-        let mut db = db_with_users();
+        let db = db_with_users();
         db.execute_str("DROP TABLE users").unwrap();
-        assert!(db.table("users").is_none());
+        assert!(db.snapshot_table("users").is_none());
         assert!(db.table_names().is_empty());
     }
 
@@ -767,7 +564,7 @@ mod tests {
     fn classic_injection_dumps_table_without_guard() {
         // The raw engine happily executes an injected query — protection is
         // the RESIN filter's job, not the database's.
-        let mut db = db_with_users();
+        let db = db_with_users();
         let name_input = "x' OR '1'='1";
         let q = format!("SELECT name FROM users WHERE name = '{name_input}");
         // The trailing quote from the template closes the injected literal.
@@ -778,7 +575,7 @@ mod tests {
 
     #[test]
     fn multi_insert_affected_count() {
-        let mut db = Database::new();
+        let db = ShardedDatabase::new();
         db.execute_str("CREATE TABLE t (a INTEGER)").unwrap();
         let r = db
             .execute_str("INSERT INTO t VALUES (1), (2), (3)")
@@ -791,7 +588,7 @@ mod tests {
         // `compare` returns None for NULL; an earlier revision silently
         // treated incomparable keys as Equal, yielding an arbitrary,
         // stable-sort-dependent order. Fail loudly instead.
-        let mut db = db_with_users();
+        let db = db_with_users();
         db.execute_str("INSERT INTO users (id, name) VALUES (4, 'dan')")
             .unwrap();
         let err = db
@@ -807,10 +604,10 @@ mod tests {
 
     #[test]
     fn primary_key_auto_creates_ordered_index() {
-        let mut db = Database::new();
+        let db = ShardedDatabase::new();
         db.execute_str("CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)")
             .unwrap();
-        let t = db.table("t").unwrap();
+        let t = db.snapshot_table("t").unwrap();
         let ix = t.indexes().next().unwrap();
         assert_eq!(ix.name(), "pk_t");
         assert_eq!(ix.kind(), crate::ast::IndexKind::Ordered);
@@ -826,7 +623,7 @@ mod tests {
 
     #[test]
     fn indexes_stay_correct_through_insert_update_delete() {
-        let mut db = db_with_users();
+        let db = db_with_users();
         db.execute_str("CREATE INDEX ix_age ON users (age)")
             .unwrap();
         db.execute_str("INSERT INTO users VALUES (4, 'dan', 25)")
@@ -861,14 +658,14 @@ mod tests {
 
     #[test]
     fn probe_results_equal_scan_results() {
-        let mut indexed = db_with_users();
+        let indexed = db_with_users();
         indexed
             .execute_str("CREATE INDEX ix_id ON users (id) USING HASH")
             .unwrap();
         indexed
             .execute_str("CREATE INDEX ix_age ON users (age)")
             .unwrap();
-        let mut plain = db_with_users();
+        let plain = db_with_users();
         for q in [
             "SELECT * FROM users WHERE id = 2",
             "SELECT * FROM users WHERE id IN (1, 3)",
@@ -885,7 +682,7 @@ mod tests {
 
     #[test]
     fn index_ddl_errors() {
-        let mut db = db_with_users();
+        let db = db_with_users();
         db.execute_str("CREATE INDEX i ON users (id)").unwrap();
         assert!(db.execute_str("CREATE INDEX i ON users (age)").is_err());
         db.execute_str("CREATE INDEX IF NOT EXISTS i ON users (age)")
@@ -894,42 +691,42 @@ mod tests {
         assert!(db.execute_str("CREATE INDEX j ON nope (id)").is_err());
         assert!(db.execute_str("DROP INDEX nope ON users").is_err());
         db.execute_str("DROP INDEX i ON users").unwrap();
-        assert_eq!(db.table("users").unwrap().indexes().count(), 0);
+        assert_eq!(db.snapshot_table("users").unwrap().indexes().count(), 0);
     }
 
     #[test]
     fn reserved_table_namespace_rejected() {
-        let mut db = Database::new();
+        let db = ShardedDatabase::new();
         assert!(db.execute_str("CREATE TABLE __rp_x (a INTEGER)").is_err());
     }
 
     #[test]
     fn bind_params_evaluate_and_report_unbound() {
-        let mut db = db_with_users();
+        let db = db_with_users();
         let stmt = crate::parser::parse_str("SELECT name FROM users WHERE id = ?").unwrap();
-        let r = db.execute_with_params(&stmt, &[Value::Int(2)]).unwrap();
+        let r = db.execute(&stmt, &[Value::Int(2)]).unwrap();
         assert_eq!(r.rows[0][0], Value::Text("bob".into()));
-        let err = db.execute_with_params(&stmt, &[]).unwrap_err();
+        let err = db.execute(&stmt, &[]).unwrap_err();
         assert!(err.to_string().contains("parameter ?1"), "{err}");
     }
 
     #[test]
     fn probe_with_bound_param_uses_index() {
-        let mut db = db_with_users();
+        let db = db_with_users();
         db.execute_str("CREATE INDEX ix_id ON users (id) USING HASH")
             .unwrap();
         let stmt = crate::parser::parse_str("SELECT name FROM users WHERE id = ?").unwrap();
         // The planner sees the bound value, so the probe applies.
-        let t = db.table("users").unwrap();
+        let t = db.snapshot_table("users").unwrap();
         let Statement::Select(sel) = &stmt else {
             unreachable!()
         };
-        let plan = plan::explain_select(t, sel, &[Value::Int(3)]);
+        let plan = plan::explain_select(&t, sel, &[Value::Int(3)]);
         assert!(plan.contains("probe-eq"), "{plan}");
         // Unbound: planner falls back to scan (eval then reports).
-        let plan = plan::explain_select(t, sel, &[]);
+        let plan = plan::explain_select(&t, sel, &[]);
         assert_eq!(plan, "scan(users)");
-        let r = db.execute_with_params(&stmt, &[Value::Int(3)]).unwrap();
+        let r = db.execute(&stmt, &[Value::Int(3)]).unwrap();
         assert_eq!(r.rows[0][0], Value::Text("carol".into()));
     }
 }

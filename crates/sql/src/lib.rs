@@ -1,8 +1,9 @@
 //! # resin-sql — a SQL engine with RESIN persistent policies
 //!
 //! The database substrate for the RESIN reproduction: a from-scratch
-//! in-memory SQL engine ([`engine::Database`]) wrapped by the RESIN SQL
-//! filter ([`rewrite::ResinDb`]), which
+//! in-memory SQL engine ([`engine`], table-sharded in
+//! [`ShardedDatabase`]) wrapped by the RESIN SQL filter ([`SharedDb`]),
+//! which
 //!
 //! * rewrites `CREATE TABLE` to add a shadow **policy column** per data
 //!   column, stores each cell's serialized policies on write, and revives
@@ -16,10 +17,10 @@
 //!
 //! ```
 //! use resin_core::prelude::*;
-//! use resin_sql::{GuardMode, ResinDb};
+//! use resin_sql::{GuardMode, SharedDb};
 //! use std::sync::Arc;
 //!
-//! let mut db = ResinDb::new();
+//! let mut db = SharedDb::new();
 //! db.set_guard(GuardMode::StructureCheck);
 //! db.query_str("CREATE TABLE users (name TEXT, pw TEXT)").unwrap();
 //!
@@ -47,16 +48,16 @@ pub mod txn;
 pub mod value;
 
 pub use ast::{IndexKind, Statement};
-pub use engine::{Database, QueryResult, Table};
+pub use engine::{QueryResult, Table};
 pub use error::{Result, SqlError};
 pub use index::Index;
 pub use replica::Follower;
 pub use resin_store::segment;
 pub use resin_store::{ship, ShipReport, StoreStats};
 pub use rewrite::{
-    BindValue, BoundStatement, GuardMode, Prepared, ResinDb, SqlGuardFilter, TCell, TaintedResult,
-    Tracking, POLICY_COL_PREFIX,
+    BindValue, BoundStatement, GuardMode, Prepared, SqlGuardFilter, TCell, TaintedResult, Tracking,
+    POLICY_COL_PREFIX,
 };
-pub use shard::{ShardedDatabase, SharedDb, SharedIntegrityCheck, SharedTransaction};
-pub use txn::{IntegrityCheck, Transaction};
+pub use shard::{ShardedDatabase, SharedDb};
+pub use txn::{SharedIntegrityCheck, SharedTransaction};
 pub use value::Value;

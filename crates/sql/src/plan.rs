@@ -437,21 +437,14 @@ fn bound_beats(new: &Bound<Value>, cur: &Bound<Value>, is_lower: bool) -> bool {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::engine::Database;
-    use crate::parser::parse_str;
-    use crate::Statement;
+    use crate::shard::ShardedDatabase;
 
-    fn planned(db: &Database, sql: &str) -> String {
-        let Statement::Select(sel) = parse_str(sql).unwrap() else {
-            panic!("not a select: {sql}");
-        };
-        let t = db.table(&sel.table).unwrap();
-        explain_select(t, &sel, &[])
+    fn planned(db: &ShardedDatabase, sql: &str) -> String {
+        db.explain(sql).unwrap()
     }
 
-    fn db() -> Database {
-        let mut db = Database::new();
+    fn db() -> ShardedDatabase {
+        let db = ShardedDatabase::new();
         db.execute_str("CREATE TABLE users (id INTEGER, name TEXT, age INTEGER)")
             .unwrap();
         db.execute_str(

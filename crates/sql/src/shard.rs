@@ -1,23 +1,20 @@
-//! Concurrent storage: a table-sharded engine behind an `Arc`.
+//! The RESIN database: a table-sharded engine behind an `Arc`.
 //!
-//! The single-threaded [`Database`](crate::Database) serves one request at
-//! a time through `&mut`. Serving the paper's workloads under real traffic
-//! (§6 runs the applications inside live web servers) needs the opposite:
-//! many worker threads sharing one database. [`SharedDb`] provides that:
+//! Serving the paper's workloads under real traffic (§6 runs the
+//! applications inside live web servers) means many worker threads
+//! sharing one database; a single-threaded caller is simply a
+//! [`SharedDb`] with one handle.
 //!
 //! * storage is a [`ShardedDatabase`] — a catalog `RwLock` mapping table
 //!   names to `Arc<RwLock<Table>>`, so locking is **per table**: readers
 //!   of `posts` never contend with writers of `sessions`, and two readers
 //!   of the same table proceed in parallel;
-//! * the RESIN rewriting + injection-guard pipeline is the exact same code
-//!   [`ResinDb`](crate::ResinDb) runs (policy columns, guards, the sql
-//!   gate) — `SharedDb` implements the crate's internal `QueryBackend`
-//!   over the sharded storage;
+//! * every query runs the RESIN SQL filter of [`crate::rewrite`] (policy
+//!   columns, injection guards, the sql gate) over that storage;
 //! * `SharedDb` is `Clone` (an `Arc` handle): hand one to every worker.
 //!
-//! Transactions ([`SharedDb::begin`]) use the same lazy copy-on-write
-//! snapshot strategy as [`Transaction`](crate::Transaction): a table is
-//! snapshotted only on its first write inside the transaction, so touching
+//! Transactions ([`SharedDb::begin`], [`SharedTransaction`]) snapshot a
+//! table lazily, on its first write inside the transaction, so touching
 //! one small table never clones the whole database.
 
 use std::collections::BTreeMap;
@@ -25,7 +22,7 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
 
 use resin_core::sync::{mlock, rlock, wlock};
 
-use resin_core::{PolicyViolation, TaintedString};
+use resin_core::TaintedString;
 
 use crate::ast::{IndexKind, Statement};
 use crate::durable::SqlStore;
@@ -36,9 +33,9 @@ use crate::engine::{
 use crate::error::{Result, SqlError};
 use crate::rewrite::{
     prepare_query, prepare_statement, render_bound_sql, run_prepared, BindValue, BoundStatement,
-    GuardMode, Prepared, QueryBackend, TaintedResult, Tracking,
+    GuardMode, Prepared, TaintedResult, Tracking,
 };
-use crate::txn::{statement_write_target, TxnSnapshots};
+use crate::txn::{statement_write_target, SharedTransaction};
 use crate::value::Value;
 
 type TableShard = Arc<RwLock<Table>>;
@@ -149,9 +146,9 @@ impl ShardedDatabase {
             } => {
                 let mut catalog = wlock(&self.catalog);
                 if catalog.contains_key(name) {
-                    // Existence wins over column validation, matching the
-                    // single-threaded engine: IF NOT EXISTS on an existing
-                    // table is a no-op even for an invalid column list.
+                    // Existence wins over column validation: IF NOT EXISTS
+                    // on an existing table is a no-op even for an invalid
+                    // column list.
                     if *if_not_exists {
                         return Ok(QueryResult::default());
                     }
@@ -246,20 +243,25 @@ impl ShardedDatabase {
         let stmt = crate::parser::parse_str(sql)?;
         self.execute(&stmt, &[])
     }
-}
 
-// The rewriting layer drives storage through `&mut B`; a shared reference
-// to the sharded engine is itself the backend (interior locking), so the
-// same pipeline works without exclusive access to the database.
-impl QueryBackend for &ShardedDatabase {
-    fn execute(&mut self, stmt: &Statement, params: &[Value]) -> Result<QueryResult> {
-        ShardedDatabase::execute(self, stmt, params)
+    /// The access path the planner would pick for a SELECT — a one-line
+    /// `EXPLAIN` (e.g. `probe-eq(users via pk_users [BTREE], 1 key)`)
+    /// for tests and diagnostics. Non-SELECT statements report
+    /// `(not a select)`.
+    pub fn explain(&self, sql: &str) -> Result<String> {
+        let Statement::Select(sel) = crate::parser::parse_str(sql)? else {
+            return Ok("(not a select)".to_string());
+        };
+        let catalog = rlock(&self.catalog);
+        let t = rlock(Self::resolve(&catalog, &sel.table)?);
+        Ok(crate::plan::explain_select(&t, &sel, &[]))
     }
 
-    fn columns_of(&self, table: &str) -> Result<Vec<String>> {
+    /// All column names of `table`, policy columns included, or a schema
+    /// error when the table does not exist.
+    pub(crate) fn columns_of(&self, table: &str) -> Result<Vec<String>> {
         let catalog = rlock(&self.catalog);
-        let shard = ShardedDatabase::resolve(&catalog, table)?;
-        let t = rlock(shard);
+        let t = rlock(Self::resolve(&catalog, table)?);
         Ok(t.columns.iter().map(|c| c.name.clone()).collect())
     }
 }
@@ -342,6 +344,11 @@ impl SharedDb {
     /// `dir`: loads the last checkpoint, replays the WAL's surviving
     /// prefix (torn tail tolerated), and logs every subsequent mutating
     /// statement write-ahead. All clones share the store.
+    ///
+    /// Applications persisting **custom** policy classes must register
+    /// them (`register_policy_class`) before opening: WAL replay revives
+    /// each logged query's taint, which deserializes its policies
+    /// (snapshot cells stay serialized until a SELECT revives them).
     pub fn open(dir: impl AsRef<std::path::Path>) -> Result<Self> {
         Self::open_with_modes(dir, Tracking::On, GuardMode::Off)
     }
@@ -411,9 +418,19 @@ impl SharedDb {
     fn replay_on(sharded: &ShardedDatabase, sql: &TaintedString, tracking: Tracking) -> Result<()> {
         let tokens = crate::token::lex(sql.as_str())?;
         let stmt = crate::parser::parse(&tokens)?;
-        let mut backend: &ShardedDatabase = sharded;
-        run_prepared(&mut backend, sql, stmt, tracking, &[])?;
+        run_prepared(sharded, sql, stmt, tracking, &[])?;
         Ok(())
+    }
+
+    /// Runs the rewrite + execute back half of the pipeline on a statement
+    /// that has already crossed the guard and been parsed.
+    pub(crate) fn run_parsed(
+        &self,
+        sql: &TaintedString,
+        stmt: Statement,
+        params: &[BindValue],
+    ) -> Result<TaintedResult> {
+        run_prepared(&self.inner, sql, stmt, self.tracking, params)
     }
 
     /// True when a durable store backs this database.
@@ -610,15 +627,14 @@ impl SharedDb {
 
     /// Executes a (possibly tainted) query through the RESIN SQL filter.
     ///
-    /// Unlike [`ResinDb::query`](crate::ResinDb::query) this takes `&self`:
-    /// any number of workers may query concurrently. On a durable database
-    /// mutating statements are WAL-logged write-ahead (concurrent appends
-    /// group-commit: the store batches them under shared fsyncs, in the
-    /// order it sequences them), and recovery replays in WAL order. Two *racing*
-    /// writers to the same table may therefore recover in the other
-    /// interleaving than the one that executed — every statement is
-    /// preserved, but non-commuting racing writes (two UPDATEs of one row)
-    /// can recover to the other winner. Racing writers partitioned by
+    /// Takes `&self`: any number of workers may query concurrently. On a
+    /// durable database mutating statements are WAL-logged write-ahead
+    /// (concurrent appends group-commit: the store batches them under
+    /// shared fsyncs, in the order it sequences them), and recovery
+    /// replays in WAL order. Two *racing* writers to the same table may
+    /// therefore recover in the other interleaving than the one that
+    /// executed — every statement is preserved, but non-commuting racing
+    /// writes (two UPDATEs of one row) can recover to the other winner. Racing writers partitioned by
     /// table — the discipline the lock sharding already rewards — recover
     /// exactly. A statement that fails *execution* after logging stays in
     /// the WAL as a no-op (replay fails identically and is skipped) until
@@ -636,8 +652,7 @@ impl SharedDb {
             // truncate this record also sees its table as dirty.
             self.mark_tables_dirty(statement_write_target(&stmt));
         }
-        let mut backend: &ShardedDatabase = &self.inner;
-        let result = run_prepared(&mut backend, &sql, stmt, self.tracking, &[]);
+        let result = self.run_parsed(&sql, stmt, &[]);
         // The exclusion window must close before the trigger runs: the
         // checkpoint takes the same lock exclusively.
         drop(_no_ckpt);
@@ -672,14 +687,7 @@ impl SharedDb {
             self.wal_log(&rendered)?;
             self.mark_tables_dirty(p.write_target());
         }
-        let mut backend: &ShardedDatabase = &self.inner;
-        let result = run_prepared(
-            &mut backend,
-            p.text_tainted(),
-            p.statement().clone(),
-            self.tracking,
-            &bound.values,
-        );
+        let result = self.run_parsed(p.text_tainted(), p.statement().clone(), &bound.values);
         drop(_no_ckpt);
         if durable_write && result.is_ok() {
             self.maybe_auto_checkpoint();
@@ -700,163 +708,30 @@ impl SharedDb {
 
     /// Opens a transaction on the shared database.
     pub fn begin(&self) -> SharedTransaction<'static> {
-        SharedTransaction {
-            db: self.clone(),
-            snapshots: TxnSnapshots::default(),
-            checks: Vec::new(),
-            wal: Vec::new(),
-            registered: false,
-            finished: false,
-            _epoch_pin: resin_core::LabelTable::global().pin(),
-        }
-    }
-}
-
-/// An integrity assertion for a [`SharedTransaction`], checked at commit
-/// time. Checks must be read-only: writes they perform are not covered by
-/// the transaction's snapshots.
-pub type SharedIntegrityCheck<'c> =
-    Box<dyn Fn(&SharedDb) -> std::result::Result<(), PolicyViolation> + Send + 'c>;
-
-/// A transaction on a [`SharedDb`] with lazy copy-on-write snapshots.
-///
-/// A table is snapshotted only when the transaction first writes it;
-/// queries against other tables — from this transaction or from other
-/// threads — never pay for a clone. Rollback restores exactly the touched
-/// tables.
-///
-/// Isolation is *per table*: concurrent writers to a table this
-/// transaction later rolls back will lose their writes to the restore
-/// (last-writer-wins). Partition writes by table — the same discipline the
-/// lock sharding already rewards.
-///
-/// The same discipline governs **durability**: a transaction's statements
-/// reach the WAL only at commit (as one atomic record), while its table
-/// changes are live immediately — so a non-transactional write that lands
-/// on a transaction-touched table between its write and its commit is
-/// logged *before* the transaction's record, and crash recovery replays
-/// them in that (WAL) order, not execution order. Writes partitioned by
-/// table recover exactly; interleaved same-table mixes may not.
-pub struct SharedTransaction<'c> {
-    db: SharedDb,
-    snapshots: TxnSnapshots,
-    checks: Vec<SharedIntegrityCheck<'c>>,
-    wal: Vec<TaintedString>,
-    /// Counted in `txn_writers` (set on the first durable write, cleared
-    /// on drop) so checkpoints wait this transaction out.
-    registered: bool,
-    finished: bool,
-    /// Keeps labels interned during the transaction (snapshot scratch,
-    /// query results) safe from a concurrent label-table sweep.
-    _epoch_pin: resin_core::EpochPin<'static>,
-}
-
-impl<'c> SharedTransaction<'c> {
-    /// Registers an integrity assertion to run at commit.
-    pub fn add_check(&mut self, check: SharedIntegrityCheck<'c>) {
-        self.checks.push(check);
+        SharedTransaction::begin(self.clone())
     }
 
-    /// Table names snapshotted so far (sorted). Untouched tables never
-    /// appear here — that is the copy-on-write guarantee.
-    pub fn snapshotted_tables(&self) -> Vec<&str> {
-        self.snapshots.names()
+    /// Counts an open transaction that has written durably: checkpoints
+    /// wait until it finishes ([`release_txn_writer`](Self::release_txn_writer)).
+    /// Taking the checkpoint-exclusion lock first blocks out a checkpoint
+    /// that is already running.
+    pub(crate) fn register_txn_writer(&self) {
+        let _gate = rlock(&self.inner.ckpt);
+        *mlock(&self.inner.txn_writers) += 1;
     }
 
-    /// Executes a query inside the transaction (all RESIN rewriting and
-    /// guards apply as usual).
-    ///
-    /// The write target comes from the statement as prepared — parsed
-    /// *after* any guard rewriting, i.e. exactly what executes — so a
-    /// query only ever snapshots the one table it writes.
-    pub fn query(&mut self, sql: &TaintedString) -> Result<TaintedResult> {
-        let (sql, stmt) = prepare_query(sql, self.db.guard)?;
-        let is_write = statement_write_target(&stmt).is_some();
-        if is_write && self.db.durable && !self.registered {
-            // First durable write: block out a running checkpoint, then
-            // stay counted until the transaction finishes — a snapshot
-            // taken mid-transaction would see live table changes whose
-            // WAL records are still buffered here.
-            let _gate = rlock(&self.db.inner.ckpt);
-            *mlock(&self.db.inner.txn_writers) += 1;
-            self.registered = true;
-        }
-        if let Some(name) = statement_write_target(&stmt) {
-            let name = name.to_string();
-            let inner = &self.db.inner;
-            self.snapshots
-                .record_with(&name, || inner.snapshot_table(&name));
-        }
-        let mut backend: &ShardedDatabase = &self.db.inner;
-        let res = run_prepared(&mut backend, &sql, stmt, self.db.tracking, &[])?;
-        if is_write && self.db.durable {
-            // Buffered, not logged: the WAL only sees statements whose
-            // transaction committed, so a rollback recovers as a rollback.
-            self.wal.push(sql.into_owned());
-        }
-        Ok(res)
-    }
-
-    /// Executes an untainted query inside the transaction.
-    pub fn query_str(&mut self, sql: &str) -> Result<TaintedResult> {
-        self.query(&TaintedString::from(sql))
-    }
-
-    fn restore(&mut self) {
-        for (name, snap) in self.snapshots.drain() {
-            self.db.raw().restore_table(&name, snap);
-        }
-    }
-
-    /// Runs the integrity checks; keeps the changes if all pass, restores
-    /// the touched tables otherwise.
-    pub fn commit(mut self) -> Result<()> {
-        self.finished = true;
-        let checks = std::mem::take(&mut self.checks);
-        for check in &checks {
-            if let Err(v) = check(&self.db) {
-                self.restore();
-                return Err(SqlError::Policy(resin_core::FlowError::Denied(v)));
-            }
-        }
-        let wal = std::mem::take(&mut self.wal);
-        if let Err(e) = self.db.wal_log_batch(&wal) {
-            // The commit could not be made durable: take the writes back
-            // out of the live tables too, so the state the caller observes
-            // matches the state a restart would recover.
-            self.restore();
-            return Err(e);
-        }
-        // Still registered in `txn_writers` until drop, so no checkpoint
-        // can slip between the batch landing and these marks.
-        self.db.mark_tables_dirty(self.snapshots.names());
-        Ok(())
-    }
-
-    /// Discards all changes made inside the transaction.
-    pub fn rollback(mut self) {
-        self.finished = true;
-        self.restore();
-    }
-}
-
-impl Drop for SharedTransaction<'_> {
-    fn drop(&mut self) {
-        if !self.finished {
-            self.restore();
-        }
-        if self.registered {
-            self.registered = false;
-            *mlock(&self.db.inner.txn_writers) -= 1;
-            self.db.inner.txn_done.notify_all();
-        }
+    /// Ends a [`register_txn_writer`](Self::register_txn_writer) count and
+    /// wakes checkpoints waiting on it.
+    pub(crate) fn release_txn_writer(&self) {
+        *mlock(&self.inner.txn_writers) -= 1;
+        self.inner.txn_done.notify_all();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use resin_core::UntrustedData;
+    use resin_core::{PolicyViolation, UntrustedData};
     use std::sync::Arc;
 
     fn posts_db() -> SharedDb {
@@ -975,21 +850,23 @@ mod tests {
     }
 
     #[test]
-    fn if_not_exists_matches_single_threaded_engine() {
-        // Existence must win over column validation, exactly as in
-        // `Database::create_table`: IF NOT EXISTS on an existing table is
-        // a no-op even when the new column list is invalid.
+    fn if_not_exists_wins_over_column_validation() {
+        // Existence must win over column validation: IF NOT EXISTS on an
+        // existing table is a no-op even when the new column list is
+        // invalid, through the filter and on the raw engine alike.
         let db = posts_db();
         db.query_str("CREATE TABLE IF NOT EXISTS posts (a INTEGER, a INTEGER)")
             .unwrap();
-        let mut single = crate::ResinDb::new();
-        single.query_str("CREATE TABLE posts (id INTEGER)").unwrap();
-        single
-            .query_str("CREATE TABLE IF NOT EXISTS posts (a INTEGER, a INTEGER)")
+        let raw = ShardedDatabase::new();
+        raw.execute_str("CREATE TABLE posts (id INTEGER)").unwrap();
+        raw.execute_str("CREATE TABLE IF NOT EXISTS posts (a INTEGER, a INTEGER)")
             .unwrap();
         // A fresh create with a duplicate column still fails on both.
         assert!(db
             .query_str("CREATE TABLE dup (a INTEGER, a INTEGER)")
+            .is_err());
+        assert!(raw
+            .execute_str("CREATE TABLE dup (a INTEGER, a INTEGER)")
             .is_err());
     }
 

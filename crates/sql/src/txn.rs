@@ -3,9 +3,9 @@
 //! The paper's planned approach to data *integrity* invariants: "using
 //! transactions to buffer database or file system changes, and checking a
 //! programmer-specified assertion before committing them." A
-//! [`Transaction`] buffers changes, applies queries, and runs the
-//! programmer's integrity checks at commit; if any check fails, every
-//! buffered change is rolled back.
+//! [`SharedTransaction`] ([`SharedDb::begin`]) applies queries, buffers
+//! their WAL records, and runs the programmer's integrity checks at
+//! commit; if any check fails, every change is rolled back.
 //!
 //! Snapshots are **lazy and per table**: a table is copied only when the
 //! transaction first writes it. An earlier revision cloned the whole
@@ -23,14 +23,8 @@ use resin_core::{PolicyViolation, TaintedString};
 use crate::ast::Statement;
 use crate::engine::Table;
 use crate::error::{Result, SqlError};
-use crate::rewrite::{prepare_query, ResinDb, TaintedResult};
-
-/// A programmer-specified integrity assertion, checked at commit time
-/// against the post-transaction database state.
-///
-/// Checks must be read-only: a write performed inside a check bypasses the
-/// transaction's snapshot tracking and is not rolled back.
-pub type IntegrityCheck<'c> = Box<dyn Fn(&mut ResinDb) -> Result<(), PolicyViolation> + 'c>;
+use crate::rewrite::{prepare_query, TaintedResult};
+use crate::shard::SharedDb;
 
 /// The table a prepared statement writes (`None` for reads). Total over
 /// [`Statement`], so every statement that can execute has its write
@@ -47,51 +41,46 @@ pub(crate) fn statement_write_target(stmt: &Statement) -> Option<&str> {
     }
 }
 
-/// The lazy per-table snapshot set shared by [`Transaction`] and
-/// [`crate::shard::SharedTransaction`]: first write records a copy,
-/// rollback drains the copies back through a storage-specific restore.
-#[derive(Default)]
-pub(crate) struct TxnSnapshots {
-    /// name → state at first touch (`None` = did not exist, so rollback
-    /// removes it).
-    map: BTreeMap<String, Option<Table>>,
-}
-
-impl TxnSnapshots {
-    /// Records `name` on first touch, fetching its current state lazily.
-    pub(crate) fn record_with(&mut self, name: &str, fetch: impl FnOnce() -> Option<Table>) {
-        if !self.map.contains_key(name) {
-            self.map.insert(name.to_string(), fetch());
-        }
-    }
-
-    /// Snapshotted table names, sorted.
-    pub(crate) fn names(&self) -> Vec<&str> {
-        self.map.keys().map(|s| s.as_str()).collect()
-    }
-
-    /// Takes the snapshots for restoring (leaves the set empty).
-    pub(crate) fn drain(&mut self) -> BTreeMap<String, Option<Table>> {
-        std::mem::take(&mut self.map)
-    }
-}
-
-/// An open transaction on a [`ResinDb`].
+/// An integrity assertion for a [`SharedTransaction`], checked at commit
+/// time against the post-transaction database state.
 ///
-/// Dropping an uncommitted transaction rolls it back.
+/// Checks must be read-only: a write performed inside a check bypasses the
+/// transaction's snapshot tracking and is not rolled back.
+pub type SharedIntegrityCheck<'c> =
+    Box<dyn Fn(&SharedDb) -> std::result::Result<(), PolicyViolation> + Send + 'c>;
+
+/// A transaction on a [`SharedDb`] with lazy copy-on-write snapshots.
+///
+/// A table is snapshotted only when the transaction first writes it;
+/// queries against other tables — from this transaction or from other
+/// threads — never pay for a clone. Rollback restores exactly the touched
+/// tables, and dropping an uncommitted transaction rolls it back.
+///
+/// Isolation is *per table*: concurrent writers to a table this
+/// transaction later rolls back will lose their writes to the restore
+/// (last-writer-wins). Partition writes by table — the same discipline the
+/// lock sharding already rewards.
+///
+/// The same discipline governs **durability**: a transaction's statements
+/// reach the WAL only at commit (as one atomic record), while its table
+/// changes are live immediately — so a non-transactional write that lands
+/// on a transaction-touched table between its write and its commit is
+/// logged *before* the transaction's record, and crash recovery replays
+/// them in that (WAL) order, not execution order. Writes partitioned by
+/// table recover exactly; interleaved same-table mixes may not.
 ///
 /// # Examples
 ///
 /// ```
 /// use resin_core::prelude::*;
-/// use resin_sql::{ResinDb, Transaction};
+/// use resin_sql::SharedDb;
 ///
-/// let mut db = ResinDb::new();
+/// let db = SharedDb::new();
 /// db.query_str("CREATE TABLE grades (student TEXT, score INTEGER)").unwrap();
 /// db.query_str("INSERT INTO grades VALUES ('ada', 91)").unwrap();
 ///
 /// // Invariant: no score may exceed 100.
-/// let mut txn = Transaction::begin(&mut db);
+/// let mut txn = db.begin();
 /// txn.add_check(Box::new(|db| {
 ///     let r = db.query_str("SELECT COUNT(*) FROM grades WHERE score > 100")
 ///         .map_err(|e| PolicyViolation::new("GradeInvariant", e.to_string()))?;
@@ -105,57 +94,75 @@ impl TxnSnapshots {
 /// let r = db.query_str("SELECT score FROM grades").unwrap();
 /// assert_eq!(r.rows[0][0].as_int().unwrap().value(), &91); // ...rolled back
 /// ```
-pub struct Transaction<'a, 'c> {
-    db: &'a mut ResinDb,
-    snapshots: TxnSnapshots,
-    checks: Vec<IntegrityCheck<'c>>,
+pub struct SharedTransaction<'c> {
+    db: SharedDb,
+    /// Table name → its state at the transaction's first write to it
+    /// (`None` = it did not exist, so rollback drops it).
+    snapshots: BTreeMap<String, Option<Table>>,
+    checks: Vec<SharedIntegrityCheck<'c>>,
     wal: Vec<TaintedString>,
+    /// Counted in the database's open-writer count (set on the first
+    /// durable write, cleared on drop) so checkpoints wait it out.
+    registered: bool,
     finished: bool,
-    /// Keeps labels interned during the transaction safe from a
-    /// concurrent label-table sweep.
+    /// Keeps labels interned during the transaction (snapshot scratch,
+    /// query results) safe from a concurrent label-table sweep.
     _epoch_pin: resin_core::EpochPin<'static>,
 }
 
-impl<'a, 'c> Transaction<'a, 'c> {
-    /// Opens a transaction. No data is copied here — tables are
+impl<'c> SharedTransaction<'c> {
+    /// Opens a transaction on `db`. No data is copied here — tables are
     /// snapshotted lazily, on their first write.
-    pub fn begin(db: &'a mut ResinDb) -> Self {
-        Transaction {
+    pub(crate) fn begin(db: SharedDb) -> Self {
+        SharedTransaction {
             db,
-            snapshots: TxnSnapshots::default(),
+            snapshots: BTreeMap::new(),
             checks: Vec::new(),
             wal: Vec::new(),
+            registered: false,
             finished: false,
             _epoch_pin: resin_core::LabelTable::global().pin(),
         }
     }
 
     /// Registers an integrity assertion to run at commit.
-    pub fn add_check(&mut self, check: IntegrityCheck<'c>) {
+    pub fn add_check(&mut self, check: SharedIntegrityCheck<'c>) {
         self.checks.push(check);
     }
 
     /// Table names snapshotted so far (sorted). Untouched tables never
     /// appear here — that is the copy-on-write guarantee.
     pub fn snapshotted_tables(&self) -> Vec<&str> {
-        self.snapshots.names()
+        self.snapshots.keys().map(String::as_str).collect()
     }
 
     /// Executes a query inside the transaction (all RESIN rewriting and
     /// guards apply as usual).
+    ///
+    /// The write target comes from the statement as prepared — parsed
+    /// *after* any guard rewriting, i.e. exactly what executes — so a
+    /// query only ever snapshots the one table it writes.
     pub fn query(&mut self, sql: &TaintedString) -> Result<TaintedResult> {
-        let (sql, stmt) = prepare_query(sql, self.db.guard_mode())?;
-        let is_write = statement_write_target(&stmt).is_some();
-        if let Some(name) = statement_write_target(&stmt) {
-            let name = name.to_string();
-            let db = &*self.db;
-            self.snapshots
-                .record_with(&name, || db.raw().table(&name).cloned());
+        let (sql, stmt) = prepare_query(sql, self.db.guard())?;
+        let target = statement_write_target(&stmt);
+        let durable_write = target.is_some() && self.db.is_durable();
+        if durable_write && !self.registered {
+            // First durable write: stay counted until the transaction
+            // finishes — a snapshot taken mid-transaction would see live
+            // table changes whose WAL records are still buffered here.
+            self.db.register_txn_writer();
+            self.registered = true;
         }
-        let res = self.db.run_prepared(&sql, stmt)?;
-        if is_write && self.db.is_durable() {
-            // Buffered until commit: a rolled-back transaction must not
-            // replay after a restart.
+        if let Some(name) = target {
+            if !self.snapshots.contains_key(name) {
+                let snap = self.db.raw().snapshot_table(name);
+                self.snapshots.insert(name.to_string(), snap);
+            }
+        }
+        let res = self.db.run_parsed(&sql, stmt, &[])?;
+        if durable_write {
+            // Buffered, not logged: the WAL only sees statements whose
+            // transaction committed, so a rollback recovers as a rollback.
             self.wal.push(sql.into_owned());
         }
         Ok(res)
@@ -167,8 +174,8 @@ impl<'a, 'c> Transaction<'a, 'c> {
     }
 
     fn restore(&mut self) {
-        for (name, snap) in self.snapshots.drain() {
-            self.db.restore_table(&name, snap);
+        for (name, snap) in std::mem::take(&mut self.snapshots) {
+            self.db.raw().restore_table(&name, snap);
         }
     }
 
@@ -178,20 +185,23 @@ impl<'a, 'c> Transaction<'a, 'c> {
         self.finished = true;
         let checks = std::mem::take(&mut self.checks);
         for check in &checks {
-            if let Err(v) = check(self.db) {
+            if let Err(v) = check(&self.db) {
                 self.restore();
                 return Err(SqlError::Policy(resin_core::FlowError::Denied(v)));
             }
         }
         let wal = std::mem::take(&mut self.wal);
         if let Err(e) = self.db.wal_log_batch(&wal) {
-            // The commit could not be made durable: roll the live tables
-            // back too, so the observed state matches what a restart
-            // would recover.
+            // The commit could not be made durable: take the writes back
+            // out of the live tables too, so the state the caller observes
+            // matches the state a restart would recover.
             self.restore();
             return Err(e);
         }
-        self.db.mark_tables_dirty(self.snapshots.names());
+        // Still registered as an open writer until drop, so no checkpoint
+        // can slip between the batch landing and these marks.
+        self.db
+            .mark_tables_dirty(self.snapshots.keys().map(String::as_str));
         Ok(())
     }
 
@@ -202,10 +212,14 @@ impl<'a, 'c> Transaction<'a, 'c> {
     }
 }
 
-impl Drop for Transaction<'_, '_> {
+impl Drop for SharedTransaction<'_> {
     fn drop(&mut self) {
         if !self.finished {
             self.restore();
+        }
+        if self.registered {
+            self.registered = false;
+            self.db.release_txn_writer();
         }
     }
 }
@@ -216,8 +230,8 @@ mod tests {
     use resin_core::UntrustedData;
     use std::sync::Arc;
 
-    fn grades_db() -> ResinDb {
-        let mut db = ResinDb::new();
+    fn grades_db() -> SharedDb {
+        let db = SharedDb::new();
         db.query_str("CREATE TABLE grades (student TEXT, score INTEGER)")
             .unwrap();
         db.query_str("INSERT INTO grades VALUES ('ada', 91), ('bob', 72)")
@@ -225,7 +239,7 @@ mod tests {
         db
     }
 
-    fn max_100_check<'c>() -> IntegrityCheck<'c> {
+    fn max_100_check<'c>() -> SharedIntegrityCheck<'c> {
         Box::new(|db| {
             let r = db
                 .query_str("SELECT COUNT(*) FROM grades WHERE score > 100")
@@ -240,8 +254,8 @@ mod tests {
 
     #[test]
     fn commit_keeps_valid_changes() {
-        let mut db = grades_db();
-        let mut txn = Transaction::begin(&mut db);
+        let db = grades_db();
+        let mut txn = db.begin();
         txn.add_check(max_100_check());
         txn.query_str("UPDATE grades SET score = 95 WHERE student = 'bob'")
             .unwrap();
@@ -254,8 +268,8 @@ mod tests {
 
     #[test]
     fn failed_check_rolls_back_everything() {
-        let mut db = grades_db();
-        let mut txn = Transaction::begin(&mut db);
+        let db = grades_db();
+        let mut txn = db.begin();
         txn.add_check(max_100_check());
         txn.query_str("UPDATE grades SET score = 95 WHERE student = 'bob'")
             .unwrap();
@@ -273,8 +287,8 @@ mod tests {
 
     #[test]
     fn explicit_rollback() {
-        let mut db = grades_db();
-        let mut txn = Transaction::begin(&mut db);
+        let db = grades_db();
+        let mut txn = db.begin();
         txn.query_str("DELETE FROM grades").unwrap();
         txn.rollback();
         let r = db.query_str("SELECT COUNT(*) FROM grades").unwrap();
@@ -283,9 +297,9 @@ mod tests {
 
     #[test]
     fn drop_without_commit_rolls_back() {
-        let mut db = grades_db();
+        let db = grades_db();
         {
-            let mut txn = Transaction::begin(&mut db);
+            let mut txn = db.begin();
             txn.query_str("DELETE FROM grades").unwrap();
             // Dropped here.
         }
@@ -295,8 +309,8 @@ mod tests {
 
     #[test]
     fn policies_tracked_inside_transactions() {
-        let mut db = grades_db();
-        let mut txn = Transaction::begin(&mut db);
+        let db = grades_db();
+        let mut txn = db.begin();
         let mut q = TaintedString::from("INSERT INTO grades VALUES ('");
         q.push_tainted(&TaintedString::with_policy(
             "eve",
@@ -314,8 +328,8 @@ mod tests {
 
     #[test]
     fn multiple_checks_all_run() {
-        let mut db = grades_db();
-        let mut txn = Transaction::begin(&mut db);
+        let db = grades_db();
+        let mut txn = db.begin();
         txn.add_check(max_100_check());
         txn.add_check(Box::new(|db| {
             let r = db
@@ -337,9 +351,9 @@ mod tests {
     fn untouched_tables_are_never_snapshotted() {
         // The copy-on-write guarantee: begin is free, and a write to one
         // table does not clone its neighbours.
-        let mut db = grades_db();
+        let db = grades_db();
         db.query_str("CREATE TABLE audit (entry TEXT)").unwrap();
-        let mut txn = Transaction::begin(&mut db);
+        let mut txn = db.begin();
         assert!(txn.snapshotted_tables().is_empty(), "begin copies nothing");
         txn.query_str("SELECT COUNT(*) FROM grades").unwrap();
         assert!(
@@ -362,13 +376,16 @@ mod tests {
 
     #[test]
     fn create_inside_txn_rolls_back_to_absent() {
-        let mut db = grades_db();
+        let db = grades_db();
         {
-            let mut txn = Transaction::begin(&mut db);
+            let mut txn = db.begin();
             txn.query_str("CREATE TABLE scratch (x INTEGER)").unwrap();
             txn.query_str("INSERT INTO scratch VALUES (1)").unwrap();
         }
-        assert!(db.raw().table("scratch").is_none(), "create rolled back");
+        assert!(
+            db.raw().snapshot_table("scratch").is_none(),
+            "create rolled back"
+        );
     }
 
     #[test]
@@ -380,7 +397,7 @@ mod tests {
         let mut db = grades_db();
         db.set_guard(crate::GuardMode::AutoSanitize);
         db.query_str("CREATE TABLE audit (entry TEXT)").unwrap();
-        let mut txn = Transaction::begin(&mut db);
+        let mut txn = db.begin();
         let mut q = TaintedString::from("INSERT INTO grades VALUES ('");
         q.push_tainted(&TaintedString::with_policy(
             "o'hara",
@@ -400,8 +417,8 @@ mod tests {
 
     #[test]
     fn unparseable_statement_errors_without_executing() {
-        let mut db = grades_db();
-        let mut txn = Transaction::begin(&mut db);
+        let db = grades_db();
+        let mut txn = db.begin();
         assert!(txn.query_str("not sql at all").is_err());
         assert!(
             txn.snapshotted_tables().is_empty(),

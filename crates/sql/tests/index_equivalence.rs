@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use proptest::TestRng;
 use resin_core::{Gate, GateKind, Label, PasswordPolicy, Tainted, TaintedString, UntrustedData};
-use resin_sql::{ResinDb, TCell, TaintedResult};
+use resin_sql::{SharedDb, TCell, TaintedResult};
 
 /// One shared policy instance per flavor: both databases label with the
 /// same `Arc`, so identical taint means identical interned labels.
@@ -62,7 +62,7 @@ fn rand_name(rng: &mut TestRng, p: &Policies) -> TaintedString {
 
 /// Builds the same random table in both databases via prepared inserts
 /// (bound values carry the labels), then applies the same mutations.
-fn populate(rng: &mut TestRng, p: &Policies, dbs: &mut [&mut ResinDb; 2]) {
+fn populate(rng: &mut TestRng, p: &Policies, dbs: &[&SharedDb; 2]) {
     let rows = 10 + rng.below(30);
     for _ in 0..rows {
         let id = rng.below(20) as i64;
@@ -73,7 +73,7 @@ fn populate(rng: &mut TestRng, p: &Policies, dbs: &mut [&mut ResinDb; 2]) {
             Some(rng.below(50) as i64)
         };
         let tainted_id = rng.below(5) == 0;
-        for db in dbs.iter_mut() {
+        for db in dbs {
             let ins = db.prepare("INSERT INTO t VALUES (?, ?, ?)").unwrap();
             let id_bind = if tainted_id {
                 let mut t = Tainted::new(id);
@@ -104,7 +104,7 @@ fn populate(rng: &mut TestRng, p: &Policies, dbs: &mut [&mut ResinDb; 2]) {
             ),
             _ => format!("DELETE FROM t WHERE id = {}", rng.below(20)),
         };
-        for db in dbs.iter_mut() {
+        for db in dbs {
             db.query_str(&stmt).unwrap();
         }
     }
@@ -200,9 +200,9 @@ fn probe_and_scan_agree_on_values_and_labels() {
     let mut probes_planned = 0usize;
     for case in 0..48u64 {
         let mut rng = TestRng::new(seed ^ (case.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1));
-        let mut indexed = ResinDb::new();
-        let mut scanned = ResinDb::new();
-        for db in [&mut indexed, &mut scanned] {
+        let indexed = SharedDb::new();
+        let scanned = SharedDb::new();
+        for db in [&indexed, &scanned] {
             db.query_str("CREATE TABLE t (id INTEGER, name TEXT, age INTEGER)")
                 .unwrap();
         }
@@ -222,7 +222,7 @@ fn probe_and_scan_agree_on_values_and_labels() {
                 .query_str("CREATE INDEX ix_id ON t (id) USING BTREE")
                 .unwrap();
         }
-        populate(&mut rng, &p, &mut [&mut indexed, &mut scanned]);
+        populate(&mut rng, &p, &[&indexed, &scanned]);
         for q in 0..8 {
             let sql = rand_query(&mut rng);
             if let Ok(plan) = indexed.raw().explain(&sql) {
@@ -249,7 +249,7 @@ fn index_probe_cannot_launder_taint_past_a_checking_gate() {
     // touches index keys built from raw values — if labels didn't travel
     // with the stored cells, this exact path would launder the password
     // policy. The HTTP gate must still refuse the export.
-    let mut db = ResinDb::new();
+    let db = SharedDb::new();
     db.query_str("CREATE TABLE secrets (id INTEGER PRIMARY KEY, pw TEXT)")
         .unwrap();
     let ins = db.prepare("INSERT INTO secrets VALUES (?, ?)").unwrap();

@@ -8,18 +8,18 @@
 use std::sync::Arc;
 
 use resin::core::prelude::*;
-use resin::sql::{ResinDb, Transaction};
+use resin::sql::{SharedDb, SharedIntegrityCheck};
 
 fn main() {
     // --- Transactions: buffer changes, assert invariants, then commit ---
-    let mut db = ResinDb::new();
+    let db = SharedDb::new();
     db.query_str("CREATE TABLE accounts (owner TEXT, balance INTEGER)")
         .unwrap();
     db.query_str("INSERT INTO accounts VALUES ('alice', 70), ('bob', 30)")
         .unwrap();
 
     // Invariant: no account may go negative.
-    let no_overdraft = || -> resin::sql::IntegrityCheck<'static> {
+    let no_overdraft = || -> SharedIntegrityCheck<'static> {
         Box::new(|db| {
             let r = db
                 .query_str("SELECT COUNT(*) FROM accounts WHERE balance < 0")
@@ -32,7 +32,7 @@ fn main() {
     };
 
     // A buggy transfer that overdraws: both legs roll back atomically.
-    let mut txn = Transaction::begin(&mut db);
+    let mut txn = db.begin();
     txn.add_check(no_overdraft());
     txn.query_str("UPDATE accounts SET balance = 130 WHERE owner = 'bob'")
         .unwrap();
@@ -45,14 +45,15 @@ fn main() {
     let r = db
         .query_str("SELECT balance FROM accounts ORDER BY owner")
         .unwrap();
-    println!(
-        "balances after rollback: alice={} bob={}",
-        r.rows[0][0].as_int().unwrap().value(),
-        r.rows[1][0].as_int().unwrap().value()
+    let (alice, bob) = (
+        *r.rows[0][0].as_int().unwrap().value(),
+        *r.rows[1][0].as_int().unwrap().value(),
     );
+    assert_eq!((alice, bob), (70, 30), "both legs rolled back");
+    println!("balances after rollback: alice={alice} bob={bob}");
 
     // A correct transfer commits.
-    let mut txn = Transaction::begin(&mut db);
+    let mut txn = db.begin();
     txn.add_check(no_overdraft());
     txn.query_str("UPDATE accounts SET balance = 50 WHERE owner = 'alice'")
         .unwrap();

@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use resin::apps::GradApp;
 use resin::core::{TaintedString, UntrustedData};
-use resin::sql::{GuardMode, ResinDb};
+use resin::sql::{GuardMode, SharedDb};
 
 fn main() {
     // The Table 4 scenario: the internal committee UI has three injectable
@@ -19,21 +19,25 @@ fn main() {
             "--- admissions app, assertion {} ---",
             if resin { "ON" } else { "off" }
         );
-        let mut app = GradApp::new(resin);
+        let app = GradApp::new(resin);
         let hostile = TaintedString::with_policy(
             "admit' OR '1'='1",
             Arc::new(UntrustedData::from_source("http_param")),
         );
         match app.committee_filter_by_decision(&hostile) {
-            Ok(r) => println!("query ran; {} rows dumped (SSNs included)", r.rows.len()),
-            Err(e) => println!("prevented: {e}"),
+            Ok(r) if !resin => {
+                assert_eq!(r.rows.len(), 3, "the injection dumps every applicant");
+                println!("query ran; {} rows dumped (SSNs included)", r.rows.len());
+            }
+            Err(e) if resin && e.is_violation() => println!("prevented: {e}"),
+            other => unreachable!("unexpected outcome: {other:?}"),
         }
     }
 
     // The auto-sanitizing variation: the tolerant tokenizer keeps the
     // hostile quotes inside the literal and the query runs *safely*.
     println!("--- auto-sanitizing SQL filter (tolerant tokenizer) ---");
-    let mut db = ResinDb::new();
+    let mut db = SharedDb::new();
     db.set_guard(GuardMode::AutoSanitize);
     db.query_str("CREATE TABLE users (name TEXT, pw TEXT)")
         .unwrap();
@@ -47,6 +51,7 @@ fn main() {
     ));
     q.push_str("'");
     let r = db.query(&q).expect("sanitized query runs");
+    assert!(r.rows.is_empty(), "the hostile name matches nothing");
     println!(
         "injection neutralized: query returned {} rows (attacker wanted 1)",
         r.rows.len()

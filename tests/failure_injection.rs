@@ -62,29 +62,36 @@ fn out_of_range_spans_are_harmless() {
 #[test]
 fn sql_policy_column_tampering_fails_select() {
     // An attacker (or bug) that writes junk into a policy column cannot
-    // make the filter silently ignore it.
-    let mut db = resin::sql::ResinDb::new();
-    db.query_str("CREATE TABLE t (v TEXT)").unwrap();
+    // make the filter silently ignore it: reading the tampered cell back
+    // through RESIN fails closed instead of returning it unlabeled.
+    let db = resin::sql::SharedDb::new();
+    db.query_str("CREATE TABLE t (v TEXT, n INTEGER)").unwrap();
+    let untrusted = |s: &str| TaintedString::with_policy(s, Arc::new(UntrustedData::new()));
     let mut q = TaintedString::from("INSERT INTO t VALUES ('");
-    q.push_tainted(&TaintedString::with_policy(
-        "x",
-        Arc::new(UntrustedData::new()),
-    ));
-    q.push_str("')");
+    q.push_tainted(&untrusted("x"));
+    q.push_str("', ");
+    q.push_tainted(&untrusted("7"));
+    q.push_str(")");
     db.query(&q).unwrap();
-    // Tamper via a tracking-off handle on the same storage shape: easiest
-    // honest equivalent is updating through the raw engine.
-    // (The public API hides policy columns, so we go through the engine.)
-    // Corrupt the blob:
-    let mut raw = resin::sql::Database::new();
-    raw.execute_str("CREATE TABLE t (v TEXT, __rp_v TEXT)")
+    // The public API hides policy columns, so tamper through the engine.
+    db.raw()
+        .execute_str("UPDATE t SET __rp_v = 'corrupt{'")
         .unwrap();
-    raw.execute_str("INSERT INTO t VALUES ('x', 'corrupt{')")
+    db.raw()
+        .execute_str("UPDATE t SET __rp_n = 'corrupt{'")
         .unwrap();
-    // Rebuild a ResinDb around equivalent state by replay: verify the
-    // deserializer rejects the corrupt blob directly instead.
-    let err = resin::core::deserialize_label("corrupt{").unwrap_err();
-    assert!(err.to_string().contains("corrupt") || !err.to_string().is_empty());
+    for col in ["v", "n"] {
+        let err = db
+            .query_str(&format!("SELECT {col} FROM t"))
+            .expect_err("a tampered policy column must not yield a row");
+        assert!(
+            err.to_string().contains("malformed serialized policy"),
+            "SELECT {col}: {err}"
+        );
+    }
+    // Reads that revive no policy are unaffected.
+    let r = db.query_str("SELECT COUNT(*) FROM t").unwrap();
+    assert_eq!(r.rows[0][0].as_int().unwrap().value(), &1);
 }
 
 #[test]
